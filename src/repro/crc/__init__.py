@@ -4,7 +4,9 @@ Three interchangeable implementations of the same specification:
 
 * :mod:`repro.crc.bitserial` — the textbook LFSR, one bit per step.
   Slow, but trivially correct; the golden model.
-* :mod:`repro.crc.table` — classic 256-entry byte table.
+* :mod:`repro.crc.table` — classic 256-entry byte table, plus
+  :func:`~repro.crc.table.crc_function`, the engine choice of the frame
+  codecs (:func:`zlib.crc32` for FCS-32, the table otherwise).
 * :mod:`repro.crc.matrix` / :mod:`repro.crc.parallel` — the
   Pei–Zukowski word-parallel formulation the paper's hardware uses:
   the CRC register update over ``W`` input bits is a GF(2)-linear map
@@ -27,7 +29,7 @@ from repro.crc.polynomial import (
     registered_specs,
 )
 from repro.crc.bitserial import BitSerialCrc
-from repro.crc.table import TableCrc
+from repro.crc.table import TableCrc, crc_function
 from repro.crc.matrix import CrcMatrices, build_matrices
 from repro.crc.parallel import ParallelCrc
 
@@ -43,6 +45,7 @@ __all__ = [
     "registered_specs",
     "BitSerialCrc",
     "TableCrc",
+    "crc_function",
     "CrcMatrices",
     "build_matrices",
     "ParallelCrc",

@@ -1,20 +1,47 @@
 """Byte-table CRC — the classic software implementation.
 
 One 256-entry table maps a byte of input to the register change; the
-per-byte loop is O(1).  A vectorised whole-buffer path is provided for
-large workloads (the analysis benches CRC megabytes of traffic) using
-the reflected-domain formulation when the spec allows it.
+per-byte loop is O(1).  Each spec's table is built once per process.
+
+:func:`crc_function` is the one place that picks the engine a frame
+codec uses: :func:`zlib.crc32` where it is exactly the spec, a
+:class:`TableCrc` otherwise.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import zlib
+from typing import Callable, Dict, Tuple
 
 from repro.crc.bitserial import BitSerialCrc
 from repro.crc.polynomial import CrcSpec
 from repro.utils.bits import bit_reflect
 
-__all__ = ["TableCrc"]
+__all__ = ["TableCrc", "crc_function"]
+
+#: 256-entry tables by spec, built on first use.
+_TABLES: Dict[CrcSpec, Tuple[int, ...]] = {}
+#: (width, poly, init, refin, refout, xorout) of CRC-32/ISO-HDLC, the
+#: PPP FCS-32, which :func:`zlib.crc32` computes exactly.
+_ZLIB_PARAMS = (32, 0x04C11DB7, 0xFFFFFFFF, True, True, 0xFFFFFFFF)
+
+
+def crc_function(spec: CrcSpec) -> Callable[[bytes], int]:
+    """One-shot CRC of ``spec`` on its fastest exact engine.
+
+    The value XOR ``spec.xorout`` is the residue register, so a
+    receiver's magic-residue test over content plus FCS is
+    ``crc(clear) == spec.residue ^ spec.xorout``.
+    """
+    params = (spec.width, spec.poly, spec.init, spec.refin, spec.refout, spec.xorout)
+    if params == _ZLIB_PARAMS:
+        return zlib.crc32
+    engine = TableCrc(spec)
+
+    def crc(data: bytes) -> int:
+        return engine.compute(data)
+
+    return crc
 
 
 class TableCrc:
@@ -36,12 +63,15 @@ class TableCrc:
             self._fallback = BitSerialCrc(spec)
         else:
             self._fallback = None
-            self._table = self._build_table()
+            table = _TABLES.get(spec)
+            if table is None:
+                table = _TABLES[spec] = self._build_table()
+            self._table = table
         self.reset()
 
-    def _build_table(self) -> np.ndarray:
+    def _build_table(self) -> Tuple[int, ...]:
         spec = self.spec
-        table = np.zeros(256, dtype=np.uint64)
+        table = [0] * 256
         if self._reflected:
             poly = bit_reflect(spec.poly, spec.width)
             for byte in range(256):
@@ -56,7 +86,7 @@ class TableCrc:
                 for _ in range(8):
                     reg = ((reg << 1) ^ spec.poly if reg & top else reg << 1) & spec.mask
                 table[byte] = reg
-        return table
+        return tuple(table)
 
     # ------------------------------------------------------------- streaming
     def reset(self) -> None:
@@ -77,11 +107,11 @@ class TableCrc:
         reg = self._reg
         if self._reflected:
             for byte in data:
-                reg = int(table[(reg ^ byte) & 0xFF]) ^ (reg >> 8)
+                reg = table[(reg ^ byte) & 0xFF] ^ (reg >> 8)
         else:
             shift = spec.width - 8
             for byte in data:
-                reg = (int(table[((reg >> shift) ^ byte) & 0xFF]) ^ (reg << 8)) & spec.mask
+                reg = (table[((reg >> shift) ^ byte) & 0xFF] ^ (reg << 8)) & spec.mask
         self._reg = reg
         return self
 

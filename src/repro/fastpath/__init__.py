@@ -4,8 +4,9 @@ The cycle-accurate P5 in :mod:`repro.core` is the golden model: every
 register, stall and resynchronisation buffer of the paper, one clock
 at a time.  This package is its throughput-serving twin: the same
 stuff → CRC → frame → delineate → destuff → check transformation
-applied to *whole frames and batches of frames* with vectorised numpy
-kernels and the C-speed :mod:`zlib` CRC — no per-cycle stepping.
+applied to *whole frames and batches of frames* with the package's
+one bytes-native frame codec (:mod:`repro.hdlc.byte_stuffing`, and
+:mod:`zlib` for FCS-32) — no per-cycle stepping.
 
 The two engines are kept honest against each other by the
 :class:`~repro.fastpath.differential.DifferentialHarness`, which runs
@@ -22,13 +23,6 @@ from repro.fastpath.engine import (
     FastpathRxResult,
     FastpathTxResult,
 )
-from repro.fastpath.modules import (
-    FastpathFrameSink,
-    FastpathFrameSource,
-    FastpathRx,
-    FastpathTx,
-    build_fastpath_loopback,
-)
 from repro.fastpath.sonet import SonetFastpath
 
 __all__ = [
@@ -37,10 +31,5 @@ __all__ = [
     "FastpathRxResult",
     "DifferentialHarness",
     "DifferentialReport",
-    "FastpathTx",
-    "FastpathRx",
-    "FastpathFrameSource",
-    "FastpathFrameSink",
-    "build_fastpath_loopback",
     "SonetFastpath",
 ]

@@ -4,8 +4,8 @@ Runs the same workloads through the cycle-accurate P5 loopback and the
 frame-level fastpath engine, times both, differentially verifies them
 against each other on the very same traffic, and writes the result as
 ``BENCH_fastpath.json`` — the recorded perf trajectory CI keeps as an
-artifact and guards with a speedup floor (a silent de-vectorization
-shows up as a floor violation, not as a quietly slower suite).
+artifact and guards with a speedup floor (a slower codec shows up as
+a floor violation, not as a quietly slower suite).
 
 Workloads:
 

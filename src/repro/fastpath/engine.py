@@ -2,18 +2,21 @@
 
 Everything the cycle-accurate P5 does to a frame — FCS generation,
 octet stuffing, flag wrapping, delineation, destuffing, FCS checking —
-expressed as whole-buffer transformations:
+expressed as whole-buffer ``bytes`` transformations on the package's
+one frame codec: :func:`~repro.hdlc.byte_stuffing.stuff` /
+:func:`~repro.hdlc.byte_stuffing.unstuff` for transparency and
+:func:`~repro.crc.table.crc_function` (:func:`zlib.crc32` for FCS-32)
+for the FCS.
 
-* **TX** — a *batch* of frame contents becomes one wire byte stream in
-  a single pass: per-frame CRCs via :func:`zlib.crc32` (bit-identical
-  to FCS-32, see :mod:`repro.crc.polynomial`), then one vectorised
-  scatter that stuffs every body and places every flag with numpy
-  index arithmetic.
-* **RX** — the wire stream is delineated by one ``np.flatnonzero`` over
-  the flag mask; each body is destuffed with a vectorised run-parity
-  kernel that reproduces the cycle model's
-  :func:`~repro.core.escape_det.contract_word` semantics exactly
-  (including non-conforming chained-escape input), then residue-checked.
+* **TX** — a *batch* of frame contents becomes one wire byte stream:
+  per frame the FCS, then stuffing, then one flag-wrapping join.
+* **RX** — the wire stream is split on flags; each body is destuffed
+  with the cycle model's
+  :func:`~repro.core.escape_det.contract_word` semantics (non-strict
+  :func:`~repro.hdlc.byte_stuffing.unstuff`, which also decodes
+  non-conforming chained escapes like the hardware), then
+  residue-checked.  :meth:`FastpathEngine.feed` decodes a stream that
+  arrives in pieces, carrying the open frame between them.
 
 The engine mirrors the cycle model's observable behaviour: identical
 line bytes on TX, and on RX identical frame verdicts plus the OAM
@@ -25,16 +28,13 @@ equivalence run by run.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.config import P5Config
-from repro.crc.table import TableCrc
-from repro.hdlc.constants import ESCAPE_XOR
-from repro.rtl.module import ChannelTiming, TimingContract
+from repro.crc.table import crc_function
+from repro.hdlc.accm import Accm
+from repro.hdlc.byte_stuffing import stuff, unstuff
 
 __all__ = ["FastpathEngine", "FastpathTxResult", "FastpathRxResult"]
 
@@ -86,55 +86,28 @@ class FastpathRxResult:
 class FastpathEngine:
     """Frame-level TX/RX datapath sharing the cycle model's config.
 
-    One engine instance is stateless between calls (unlike the cycle
-    pipelines there are no carries to drain), so a single engine can
-    serve any number of independent encode/decode batches.
+    :meth:`encode_frames` and :meth:`decode_stream` are stateless, so
+    one engine can serve any number of independent batches.  The only
+    state is the receive carry of :meth:`feed`: the open frame from the
+    last flag, at most ``max_frame_octets + 1`` octets when that bound
+    is set.
     """
-
-    #: Same declaration shape as the behavioural framers: stuffing can
-    #: at worst double the stream, and each frame adds two flags on
-    #: top of its FCS trailer.  Consumed by :mod:`repro.sta` through
-    #: the adapter modules in :mod:`repro.fastpath.modules`.
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=2.0, per_frame_octets=2 + 4),),
-    )
 
     def __init__(self, config: Optional[P5Config] = None) -> None:
         self.config = config or P5Config()
         spec = self.config.fcs
         self.fcs_octets = spec.width // 8
-        # zlib.crc32 *is* FCS-32 (CRC-32/ISO-HDLC): reflected, init and
-        # xorout all-ones.  Any other spec takes the table engine.
-        self._zlib_ok = (
-            spec.width == 32
-            and spec.poly == 0x04C11DB7
-            and spec.refin
-            and spec.refout
-            and spec.init == 0xFFFFFFFF
-            and spec.xorout == 0xFFFFFFFF
-        )
-        self._table = None if self._zlib_ok else TableCrc(spec)
-        self._escape_values = np.array(
-            sorted(self.config.escape_octets), dtype=np.uint8
-        )
+        self._crc = crc_function(spec)
+        #: CRC over content + transmitted FCS of every intact frame.
+        self._good_crc = spec.residue ^ spec.xorout
+        self._accm = Accm(self.config.accm_mask)
+        self._flag = bytes((self.config.flag_octet,))
+        self._carry = b""
 
     # ------------------------------------------------------------------- CRC
     def fcs_of(self, content: bytes) -> int:
         """The published FCS of one frame's content."""
-        if self._zlib_ok:
-            return zlib.crc32(content)
-        return self._table.compute(content)
-
-    def _residue_ok(self, clear: bytes) -> bool:
-        """Magic-residue test over content + transmitted FCS."""
-        spec = self.config.fcs
-        if self._zlib_ok:
-            return (zlib.crc32(clear) ^ 0xFFFFFFFF) == spec.residue
-        self._table.reset()
-        self._table.update(clear)
-        return self._table.residue_value() == spec.residue
+        return self._crc(content)
 
     # -------------------------------------------------------------------- TX
     def encode_frame(self, content: bytes) -> bytes:
@@ -147,18 +120,8 @@ class FastpathEngine:
         The output is bit-identical to what the cycle-accurate
         transmitter puts on the PHY for the same submissions: each
         frame individually wrapped in flags, frames back to back.
-
-        The batch is one vectorised pass: all bodies (content + FCS
-        trailer) are concatenated, escapable octets located with a
-        single ``np.isin``, and every output position — including both
-        flags of every frame — computed by index arithmetic, so the
-        wire stream is written with three scatter stores regardless of
-        frame count.
         """
-        if not contents:
-            return FastpathTxResult(
-                line=b"", frames=0, content_octets=0, octets_escaped=0
-            )
+        config = self.config
         fcs_octets = self.fcs_octets
         bodies: List[bytes] = []
         content_octets = 0
@@ -166,32 +129,23 @@ class FastpathEngine:
             if not content:
                 raise ValueError("cannot transmit an empty frame")
             content_octets += len(content)
+            fcs = self.fcs_of(content).to_bytes(fcs_octets, "little")
             bodies.append(
-                content + self.fcs_of(content).to_bytes(fcs_octets, "little")
+                stuff(content + fcs, self._accm,
+                      flag=config.flag_octet, esc=config.esc_octet)
             )
-        lengths = np.fromiter(
-            (len(b) for b in bodies), dtype=np.int64, count=len(bodies)
-        )
-        cat = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-        needs = np.isin(cat, self._escape_values)
-        escapes = int(needs.sum())
-        # Where each input octet lands on the wire: its own index, plus
-        # one slot per escape inserted before it, plus the flags of the
-        # frames up to and including its own opening flag.
-        esc_before = np.cumsum(needs) - needs
-        frame_idx = np.repeat(np.arange(len(bodies)), lengths)
-        positions = np.arange(cat.size) + esc_before + 2 * frame_idx + 1
-        total = cat.size + escapes + 2 * len(bodies)
-        # Every slot not written below is a flag position by
-        # construction (one before and one after each stuffed body).
-        out = np.full(total, self.config.flag_octet, dtype=np.uint8)
-        out[positions] = np.where(needs, self.config.esc_octet, cat)
-        out[positions[needs] + 1] = cat[needs] ^ ESCAPE_XOR
+        if not bodies:
+            return FastpathTxResult(
+                line=b"", frames=0, content_octets=0, octets_escaped=0
+            )
+        flag = self._flag
+        line = flag + (flag + flag).join(bodies) + flag
+        overhead = len(bodies) * (2 + fcs_octets)
         return FastpathTxResult(
-            line=out.tobytes(),
+            line=line,
             frames=len(bodies),
             content_octets=content_octets,
-            octets_escaped=escapes,
+            octets_escaped=len(line) - overhead - content_octets,
         )
 
     # -------------------------------------------------------------------- RX
@@ -209,75 +163,84 @@ class FastpathEngine:
         runt.
         """
         result = FastpathRxResult()
-        arr = np.frombuffer(line, dtype=np.uint8)
-        flag_positions = np.flatnonzero(arr == self.config.flag_octet)
-        if flag_positions.size == 0:
-            result.octets_discarded_hunting = arr.size
+        line = bytes(line)
+        bodies = line.split(self._flag)
+        if len(bodies) == 1:
+            result.octets_discarded_hunting = len(line)
             return result
-        result.octets_discarded_hunting += int(flag_positions[0])
-        result.open_tail_octets = int(arr.size - flag_positions[-1] - 1)
-        max_body = self.config.max_frame_octets
-        fcs_octets = self.fcs_octets
-        esc_octet = self.config.esc_octet
-        # Bodies are the (possibly empty) spans between adjacent flags;
-        # numpy slices keep them zero-copy views of the line buffer.
-        for start, end in zip(flag_positions[:-1] + 1, flag_positions[1:]):
-            if end == start:
-                result.empty_bodies += 1
-                continue
-            body = arr[start:end]
-            if max_body and body.size > max_body:
-                # The cycle delineator cuts on the (max+1)-th body
-                # octet, force-closes the already-shipped prefix as a
-                # frame (the cut always lies past the held-back window
-                # because max_frame_octets >= 4 words), and re-hunts;
-                # the rest of the body is noise.  No abort check: the
-                # cut is forced by count, not by ESC-then-FLAG.
-                result.oversize_drops += 1
-                result.octets_discarded_hunting += body.size - (max_body + 1)
-                body = body[: max_body + 1]
-            elif body[-1] == esc_octet:
-                result.aborts += 1
-                continue
-            clear, deleted = self._destuff(body)
-            result.octets_deleted += deleted
-            if len(clear) <= fcs_octets:
-                result.runt_frames += 1
-                continue
-            good = self._residue_ok(clear)
-            if good:
-                result.frames_ok += 1
-            else:
-                result.fcs_errors += 1
-            result.frames.append((clear[:-fcs_octets], good))
+        result.octets_discarded_hunting = len(bodies[0])
+        result.open_tail_octets = len(bodies[-1])
+        closed = bodies[1:-1]
+        result.empty_bodies = closed.count(b"")
+        for body in closed:
+            if body:
+                self._close(body, result)
         return result
 
-    def _destuff(self, body: np.ndarray) -> Tuple[bytes, int]:
-        """Vectorised escape removal with cycle-exact run semantics.
+    def _close(self, body: bytes, result: FastpathRxResult) -> None:
+        """Account one non-empty body ended by a flag (or by the
+        oversize cut)."""
+        config = self.config
+        max_body = config.max_frame_octets
+        end = len(body)
+        if max_body and end > max_body:
+            # The cycle delineator cuts on the (max+1)-th body octet,
+            # force-closes the already-shipped prefix as a frame (the
+            # cut always lies past the held-back window because
+            # max_frame_octets >= 4 words), and re-hunts; the rest of
+            # the body is noise.  No abort check: the cut is forced by
+            # count, not by ESC-then-FLAG.
+            result.oversize_drops += 1
+            result.octets_discarded_hunting += end - (max_body + 1)
+            body = body[: max_body + 1]
+            # A cut right after a deleting escape (odd trailing run):
+            # Escape Detect drops it with nothing left to restore.
+            run = len(body) - len(body.rstrip(bytes((config.esc_octet,))))
+            end = len(body) - run % 2
+        elif body[-1] == config.esc_octet:
+            result.aborts += 1
+            return
+        clear = unstuff(body[:end], strict=False,
+                        flag=config.flag_octet, esc=config.esc_octet)
+        result.octets_deleted += len(body) - len(clear)
+        fcs_octets = self.fcs_octets
+        if len(clear) <= fcs_octets:
+            result.runt_frames += 1
+            return
+        good = self._crc(clear) == self._good_crc
+        if good:
+            result.frames_ok += 1
+        else:
+            result.fcs_errors += 1
+        result.frames.append((clear[:-fcs_octets], good))
 
-        :func:`~repro.core.escape_det.contract_word` deletes an escape
-        and XORs whatever octet follows — so within a maximal run of
-        consecutive escape octets, the even-offset ones delete and the
-        odd-offset ones are themselves the restored data (the
-        non-conforming ``7D 7D`` pair decodes to ``5D``, exactly as the
-        cycle pipeline does).
+    def feed(self, data: bytes) -> FastpathRxResult:
+        """Decode the next piece of a continuous wire stream.
+
+        The open frame from the last flag is carried into the next
+        call, so any split of a stream decodes to the same frames and
+        counters.  Once the open frame outgrows ``max_frame_octets`` it
+        is cut exactly as :meth:`decode_stream` cuts a long body, and
+        the octets up to the next flag are hunt discards.
         """
-        esc = body == self.config.esc_octet
-        if not esc.any():
-            return body.tobytes(), 0
-        indices = np.arange(body.size)
-        prev_esc = np.empty_like(esc)
-        prev_esc[0] = False
-        prev_esc[1:] = esc[:-1]
-        run_start = np.where(esc & ~prev_esc, indices, -1)
-        offset_in_run = indices - np.maximum.accumulate(run_start)
-        delete = esc & (offset_in_run % 2 == 0)
-        xor_next = np.empty_like(delete)
-        xor_next[0] = False
-        xor_next[1:] = delete[:-1]
-        out = body.copy()
-        out[xor_next] ^= ESCAPE_XOR
-        return out[~delete].tobytes(), int(delete.sum())
+        line = self._carry + data
+        result = self.decode_stream(line)
+        last = line.rfind(self._flag)
+        tail = line[last + 1:] if last >= 0 else b""
+        max_body = self.config.max_frame_octets
+        if max_body and len(tail) > max_body:
+            self._close(tail, result)
+            result.open_tail_octets = 0
+            self._carry = b""
+        else:
+            self._carry = line[last:] if last >= 0 else b""
+        return result
+
+    def take_carry(self) -> bytes:
+        """Hand over the open frame :meth:`feed` carries (flag first)
+        and forget it: the next feed starts hunting."""
+        carry, self._carry = self._carry, b""
+        return carry
 
     # -------------------------------------------------------------- loopback
     def loopback(

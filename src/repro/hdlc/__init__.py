@@ -2,7 +2,9 @@
 
 * :mod:`repro.hdlc.byte_stuffing` — octet-synchronous transparency
   (flag/escape substitution), the operation the paper's Escape
-  Generate / Escape Detect datapath units perform word-parallel.
+  Generate / Escape Detect datapath units perform word-parallel; the
+  one frame-level implementation, shared by the framer, the
+  delineator and :mod:`repro.fastpath`.
 * :mod:`repro.hdlc.bit_stuffing` — bit-synchronous transparency
   (zero insertion after five ones) for completeness.
 * :mod:`repro.hdlc.accm` — the async control character map that makes

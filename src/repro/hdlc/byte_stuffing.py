@@ -1,32 +1,33 @@
 """Octet-synchronous transparency (byte stuffing), RFC 1662 section 4.2.
 
 This is the computation the paper's Escape Generate and Escape Detect
-hardware performs — here as the *behavioural golden model* the
-cycle-accurate pipelines in :mod:`repro.core.escape_pipeline` are
-checked against.
+hardware performs, and the package's one frame-level implementation
+of it: :class:`~repro.hdlc.framer.HdlcFramer`,
+:class:`~repro.hdlc.delineation.Delineator` and
+:class:`~repro.fastpath.engine.FastpathEngine` all call :func:`stuff`
+and :func:`unstuff`, and the cycle-accurate pipelines in
+:mod:`repro.core.escape_pipeline` are checked against them.
 
-Two implementations are provided:
+Both directions work on whole ``bytes`` buffers: stuffing is a
+``bytes.replace`` chain, unstuffing a ``replace`` pass when every
+escape is a conforming pair and a ``split`` walk otherwise.  The
+framing octets are parameters because the P5's are programmable
+(:attr:`~repro.core.config.P5Config.flag_octet` / ``esc_octet``).
 
-* a legible scalar reference (``_stuff_scalar`` / ``_unstuff_scalar``);
-* a numpy-vectorised bulk path used automatically for larger buffers,
-  following the HPC guidance of vectorising the hot loop (stuffing is
-  applied to every payload byte of every frame in the benchmarks).
+The per-octet walks ``_stuff_scalar`` / ``_unstuff_scalar`` are the
+legible reference the tests hold the kernels to.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import FrozenSet, Optional, Tuple
 
 from repro.errors import AbortError, FramingError
 from repro.hdlc.accm import Accm
 from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 
 __all__ = ["escape_set", "stuff", "unstuff", "stuffed_length"]
-
-#: Buffers at least this large take the vectorised path.
-_VECTOR_THRESHOLD = 64
 
 _MANDATORY = frozenset({FLAG_OCTET, ESC_OCTET})
 
@@ -45,51 +46,65 @@ def stuffed_length(data: bytes, accm: Optional[Accm] = None) -> int:
     ``len(data) + count(escapable)`` — the quantity the paper's
     resynchronisation buffer has to absorb.
     """
-    escapes = escape_set(accm)
-    if len(data) >= _VECTOR_THRESHOLD:
-        arr = np.frombuffer(data, dtype=np.uint8)
-        needs = np.isin(arr, np.fromiter(escapes, dtype=np.uint8))
-        return len(data) + int(needs.sum())
-    return len(data) + sum(1 for b in data if b in escapes)
+    return len(data) + sum(data.count(octet) for octet in escape_set(accm))
 
 
 # --------------------------------------------------------------------- stuff
-def _stuff_scalar(data: bytes, escapes: FrozenSet[int]) -> bytes:
+def _stuff_scalar(
+    data: bytes, escapes: FrozenSet[int], esc: int = ESC_OCTET
+) -> bytes:
     out = bytearray()
     for byte in data:
         if byte in escapes:
-            out.append(ESC_OCTET)
+            out.append(esc)
             out.append(byte ^ ESCAPE_XOR)
         else:
             out.append(byte)
     return bytes(out)
 
 
-def _stuff_vector(data: bytes, escapes: FrozenSet[int]) -> bytes:
-    arr = np.frombuffer(data, dtype=np.uint8)
-    needs = np.isin(arr, np.fromiter(escapes, dtype=np.uint8))
-    if not needs.any():
-        return data
-    # Each input byte lands at its index plus the number of escapes
-    # inserted before it; escaped bytes occupy two slots.
-    offsets = np.cumsum(needs) - needs        # escapes strictly before i
-    positions = np.arange(arr.size) + offsets
-    out = np.empty(arr.size + int(needs.sum()), dtype=np.uint8)
-    out[positions] = np.where(needs, ESC_OCTET, arr)
-    out[positions[needs] + 1] = arr[needs] ^ ESCAPE_XOR
-    return out.tobytes()
+@lru_cache(maxsize=64)
+def _stuff_plan(
+    mask: int, flag: int, esc: int
+) -> Tuple[FrozenSet[int], Optional[Tuple[Tuple[bytes, bytes], ...]]]:
+    """The escape set and its ``replace`` chain (``None``: no chain).
+
+    The escape octet goes first, so no escape a later step inserts is
+    escaped again.  A chain is exact only if no escaped form
+    ``c ^ 0x20`` is itself escapable; that fails just for exotic
+    programmable framing octets below 0x40 paired with an ACCM, which
+    take the per-octet walk.
+    """
+    escapes = frozenset(
+        {i for i in range(32) if (mask >> i) & 1} | {flag, esc}
+    )
+    if any(octet ^ ESCAPE_XOR in escapes for octet in escapes):
+        return escapes, None
+    order = [esc, flag] + sorted(escapes - {esc, flag})
+    return escapes, tuple(
+        (bytes((octet,)), bytes((esc, octet ^ ESCAPE_XOR))) for octet in order
+    )
 
 
-def stuff(data: bytes, accm: Optional[Accm] = None) -> bytes:
+def stuff(
+    data: bytes,
+    accm: Optional[Accm] = None,
+    *,
+    flag: int = FLAG_OCTET,
+    esc: int = ESC_OCTET,
+) -> bytes:
     """Apply octet transparency: escape flags, escapes and ACCM octets.
 
     ``0x7E`` becomes ``0x7D 0x5E``, ``0x7D`` becomes ``0x7D 0x5D``, and
     any ACCM-selected control octet ``c`` becomes ``0x7D, c ^ 0x20``.
     """
-    escapes = escape_set(accm)
-    if len(data) >= _VECTOR_THRESHOLD:
-        return _stuff_vector(data, escapes)
-    return _stuff_scalar(data, escapes)
+    escapes, chain = _stuff_plan(accm.mask if accm is not None else 0, flag, esc)
+    if chain is None:
+        return _stuff_scalar(data, escapes, esc)
+    out = bytes(data)
+    for octet, pair in chain:
+        out = out.replace(octet, pair)
+    return out
 
 
 # ------------------------------------------------------------------- unstuff
@@ -121,39 +136,59 @@ def _unstuff_scalar(data: bytes, *, strict: bool) -> bytes:
     return bytes(out)
 
 
-def _unstuff_vector(data: bytes, *, strict: bool) -> bytes:
-    arr = np.frombuffer(data, dtype=np.uint8)
-    flags = np.flatnonzero(arr == FLAG_OCTET)
-    if flags.size:
-        first = int(flags[0])
-        if first > 0 and arr[first - 1] == ESC_OCTET:
-            raise AbortError(f"abort sequence (7D 7E) at offset {first - 1}")
-        raise FramingError(f"unescaped flag octet inside frame at offset {first}")
-    is_esc = arr == ESC_OCTET
-    if not is_esc.any():
-        return data
-    # An octet is "escaped" iff preceded by an odd run of escape octets;
-    # with conforming input escapes never chain (7D 7D is invalid), so a
-    # simple shift suffices once chained escapes are rejected.
-    esc_idx = np.flatnonzero(is_esc)
-    if esc_idx[-1] == arr.size - 1:
-        # See the scalar path: a trailing escape is an aborted frame.
-        raise AbortError("frame aborted: escape immediately before closing flag")
-    following = arr[esc_idx + 1]
-    if (following == ESC_OCTET).any():
-        if strict:
-            where = int(esc_idx[np.argmax(following == ESC_OCTET)])
-            raise FramingError(f"invalid escape pair 7D 7D at offset {where}")
-        # Chained escapes break the shift trick; defer to the scalar walk.
-        return _unstuff_scalar(data, strict=strict)
-    out = arr.copy()
-    out[esc_idx + 1] ^= ESCAPE_XOR
-    keep = np.ones(arr.size, dtype=bool)
-    keep[esc_idx] = False
-    return out[keep].tobytes()
+@lru_cache(maxsize=64)
+def _unstuff_octets(flag: int, esc: int) -> Tuple[bytes, bytes, bytes, bytes]:
+    """``(ESC, FLAG, ESC FLAG^0x20, ESC ESC^0x20)`` as ``bytes``."""
+    return (
+        bytes((esc,)),
+        bytes((flag,)),
+        bytes((esc, flag ^ ESCAPE_XOR)),
+        bytes((esc, esc ^ ESCAPE_XOR)),
+    )
 
 
-def unstuff(data: bytes, *, strict: bool = True) -> bytes:
+def _unstuff_walk(data: bytes, strict: bool, flag: int, esc: int) -> bytes:
+    """Escape removal with :func:`~repro.core.escape_det.contract_word`
+    run semantics: a deleting escape restores whatever octet follows,
+    so non-strict ``7D 7D`` decodes to ``5D``."""
+    parts = data.split(bytes((esc,)))
+    last = len(parts) - 1
+    out = bytearray()
+    k = pos = 0
+    seg = parts[0]
+    while True:
+        bare = seg.find(flag)
+        if bare >= 0:
+            raise FramingError(
+                f"unescaped flag octet inside frame at offset {pos + bare}"
+            )
+        out += seg
+        if k == last:
+            return bytes(out)
+        at = pos + len(seg)  # a deleting escape
+        nxt = parts[k + 1]
+        if nxt:
+            if nxt[0] == flag:
+                raise AbortError(f"abort sequence (7D 7E) at offset {at}")
+            out.append(nxt[0] ^ ESCAPE_XOR)
+            seg, k = nxt[1:], k + 1
+        elif k + 1 == last:
+            raise AbortError("frame aborted: escape immediately before closing flag")
+        elif strict:
+            raise FramingError(f"invalid escape pair 7D 7D at offset {at}")
+        else:
+            out.append(esc ^ ESCAPE_XOR)
+            seg, k = parts[k + 2], k + 2
+        pos = at + 2
+
+
+def unstuff(
+    data: bytes,
+    *,
+    strict: bool = True,
+    flag: int = FLAG_OCTET,
+    esc: int = ESC_OCTET,
+) -> bytes:
     """Remove octet transparency (inverse of :func:`stuff`).
 
     ``data`` is the body *between* two flags, so a trailing escape
@@ -169,6 +204,15 @@ def unstuff(data: bytes, *, strict: bool = True) -> bytes:
         On a bare flag inside the frame or (when ``strict``) the
         unproducible pair ``0x7D 0x7D``.
     """
-    if len(data) >= _VECTOR_THRESHOLD:
-        return _unstuff_vector(data, strict=strict)
-    return _unstuff_scalar(data, strict=strict)
+    esc_b, flag_b, flag_pair, esc_pair = _unstuff_octets(flag, esc)
+    if flag not in data:
+        escapes = data.count(esc_b)
+        if not escapes:
+            return bytes(data)
+        # Conforming pairs cannot overlap, and restoring flags first
+        # creates no new pair, so each replacement removes one octet:
+        # one per escape iff every escape starts a conforming pair.
+        clear = data.replace(flag_pair, flag_b).replace(esc_pair, esc_b)
+        if len(data) - len(clear) == escapes:
+            return clear
+    return _unstuff_walk(data, strict, flag, esc)

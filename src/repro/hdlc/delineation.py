@@ -3,9 +3,10 @@
 The whole-frame :class:`~repro.hdlc.framer.HdlcFramer` assumes it is
 handed complete frames; real receivers see an unaligned octet stream
 (possibly mid-frame at power-up, possibly corrupted).  The
-:class:`Delineator` consumes octets one at a time, exactly like the
-P5 receiver's front end consumes the PHY stream, and emits decoded
-frames while accounting every discard reason in
+:class:`Delineator` consumes that stream in buffers of any size — it
+scans each for flags and carries the open frame between buffers, so
+the result does not depend on how the stream is chunked — and emits
+decoded frames while accounting every discard reason in
 :class:`DelineatorStats` — the counters the Protocol OAM block exposes
 to the host microprocessor.
 """
@@ -62,6 +63,11 @@ class Delineator:
     octets until the first flag, as hardware must after power-up or
     loss of synchronisation.
 
+    The open frame is bounded: once it holds more than
+    ``2 * (framer.max_content + framer.fcs_octets)`` octets — longer
+    than any conforming frame, even fully escaped — it is counted
+    ``oversize``, dropped, and the machine re-hunts.
+
     Parameters
     ----------
     framer:
@@ -83,22 +89,8 @@ class Delineator:
 
     def push(self, octet: int) -> Optional[DecodedFrame]:
         """Consume one octet; return a frame if this octet completed one."""
-        self.stats.octets_in += 1
-        if not self._synced:
-            if octet == FLAG_OCTET:
-                self._synced = True
-            else:
-                self.stats.octets_discarded_hunting += 1
-            return None
-        if octet != FLAG_OCTET:
-            self._body.append(octet)
-            return None
-        # Closing flag: an empty body is inter-frame idle, not a frame.
-        body = bytes(self._body)
-        self._body.clear()
-        if not body:
-            return None
-        return self._finish(body)
+        completed = self.push_bytes(bytes((octet,)))
+        return completed[0] if completed else None
 
     def _finish(self, body: bytes) -> Optional[DecodedFrame]:
         try:
@@ -121,11 +113,39 @@ class Delineator:
 
     def push_bytes(self, data: Iterable[int]) -> List[DecodedFrame]:
         """Consume a buffer; return the frames completed within it."""
+        data = bytes(data)
+        stats = self.stats
+        stats.octets_in += len(data)
+        cap = 2 * (self.framer.max_content + self.framer.fcs_octets)
         completed: List[DecodedFrame] = []
-        for octet in data:
-            frame = self.push(octet)
-            if frame is not None:
-                completed.append(frame)
+        pos = 0
+        while pos < len(data):
+            flag = data.find(FLAG_OCTET, pos)
+            end = flag if flag >= 0 else len(data)
+            held = len(self._body) + end - pos
+            if not self._synced or held > cap:
+                if self._synced:
+                    # Past the cap: drop the frame, hunt to the next flag.
+                    stats.oversize += 1
+                    stats.octets_discarded_hunting += held - cap - 1
+                    self._body.clear()
+                else:
+                    stats.octets_discarded_hunting += end - pos
+                self._synced = flag >= 0
+            elif flag < 0:
+                self._body += data[pos:]
+            else:
+                body = data[pos:flag]
+                if self._body:
+                    body = bytes(self._body + body)
+                    self._body.clear()
+                # An empty body is inter-frame idle, not a frame.
+                frame = self._finish(body) if body else None
+                if frame is not None:
+                    completed.append(frame)
+            if flag < 0:
+                break
+            pos = flag + 1
         return completed
 
     def flush(self) -> None:

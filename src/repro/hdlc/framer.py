@@ -10,9 +10,9 @@ by the RFC's magic-residue method).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.crc import CRC32, CrcSpec, TableCrc
+from repro.crc import CRC32, CrcSpec, crc_function
 from repro.errors import FcsError, FramingError, OversizeFrameError, RuntFrameError
 from repro.hdlc.accm import Accm
 from repro.hdlc.byte_stuffing import stuff, unstuff
@@ -41,15 +41,6 @@ class DecodedFrame:
     content: bytes
     fcs: int
     wire_length: int
-
-
-def _fcs_trailer(spec: CrcSpec, value: int) -> bytes:
-    """Serialise an FCS value least-significant octet first (RFC 1662)."""
-    return value.to_bytes(spec.width // 8, "little")
-
-
-def _fcs_from_trailer(spec: CrcSpec, trailer: bytes) -> int:
-    return int.from_bytes(trailer, "little")
 
 
 class HdlcFramer:
@@ -95,7 +86,7 @@ class HdlcFramer:
         self.fcs_spec = fcs_spec
         self.accm = accm
         self.max_content = max_content
-        self._crc = TableCrc(fcs_spec)
+        self._crc = crc_function(fcs_spec)
 
     @property
     def fcs_octets(self) -> int:
@@ -105,7 +96,7 @@ class HdlcFramer:
     # ---------------------------------------------------------------- encode
     def compute_fcs(self, content: bytes) -> int:
         """FCS over the unstuffed frame content (addr..information)."""
-        return self._crc.compute(content)
+        return self._crc(content)
 
     def encode(self, content: bytes, *, leading_flag: bool = True) -> bytes:
         """Build the on-wire frame: ``[7E] stuffed(content + FCS) 7E``.
@@ -114,8 +105,9 @@ class HdlcFramer:
         single flag, as RFC 1662 permits and the P5 transmitter does
         when frames are queued without idle time.
         """
-        fcs = self.compute_fcs(content)
-        body = stuff(content + _fcs_trailer(self.fcs_spec, fcs), self.accm)
+        # RFC 1662: the FCS goes out least-significant octet first.
+        fcs = self.compute_fcs(content).to_bytes(self.fcs_octets, "little")
+        body = stuff(content + fcs, self.accm)
         head = bytes([FLAG_OCTET]) if leading_flag else b""
         return head + body + bytes([FLAG_OCTET])
 
@@ -144,14 +136,14 @@ class HdlcFramer:
             raise OversizeFrameError(
                 f"decoded content {len(content)} exceeds maximum {self.max_content}"
             )
-        carried = _fcs_from_trailer(self.fcs_spec, trailer)
+        carried = int.from_bytes(trailer, "little")
         computed = self.compute_fcs(content)
         if carried != computed:
             raise FcsError(carried, computed)
         # Cross-check via the RFC 1662 magic-residue method: CRC over
         # content *plus* trailer must equal the spec's residue.
-        residue = TableCrc(self.fcs_spec).update(clear).residue_value()
-        if residue != self.fcs_spec.residue:
+        spec = self.fcs_spec
+        if self._crc(clear) ^ spec.xorout != spec.residue:
             raise FcsError(carried, computed, "FCS residue check failed")
         return DecodedFrame(
             content=content,
@@ -176,23 +168,13 @@ class HdlcFramer:
         Empty inter-flag gaps (idle flags) are skipped, matching the
         receiver FSM's behaviour of treating repeated flags as one.
         """
-        frames: List[DecodedFrame] = []
-        for body, span in _split_bodies(wire):
-            frames.append(self.decode_body(body, wire_length=span))
-        return frames
-
-
-def _split_bodies(wire: bytes) -> List[Tuple[bytes, int]]:
-    """Yield (body, wire_span) for each non-empty inter-flag region."""
-    if not wire:
-        return []
-    regions: List[Tuple[bytes, int]] = []
-    start: Optional[int] = None
-    for i, byte in enumerate(wire):
-        if byte == FLAG_OCTET:
-            if start is not None and i > start:
-                regions.append((wire[start:i], i - start + 2))
-            start = i + 1
-    if start is not None and start < len(wire):
-        raise FramingError("stream ends inside an undelimited frame")
-    return regions
+        # Octets before the first flag are not framed; a stream with
+        # no flag at all holds no frame.
+        bodies = bytes(wire).split(bytes([FLAG_OCTET]))[1:]
+        if bodies and bodies[-1]:
+            raise FramingError("stream ends inside an undelimited frame")
+        return [
+            self.decode_body(body, wire_length=len(body) + 2)
+            for body in bodies
+            if body
+        ]

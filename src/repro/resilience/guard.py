@@ -22,8 +22,9 @@ trust at runtime:
   the fast engine's re-encode agrees byte-for-byte with the shipped
   cycle line, the fastpath is reinstated.
 
-Both receive paths are *streaming*: the fast decoder carries the open
-tail (from its last seen flag) between intervals, and the cycle
+Both receive paths are *streaming*: the fast engine's
+:meth:`~repro.fastpath.engine.FastpathEngine.feed` carries the open
+frame (from its last seen flag) between intervals, and the cycle
 receiver is a long-lived pipeline fed through
 :meth:`~repro.rtl.pipeline.StreamSource.extend` — so frames split
 across interval boundaries by storms or cuts decode exactly as a
@@ -40,7 +41,7 @@ from repro.core.config import P5Config
 from repro.core.p5 import P5System, PhyWire
 from repro.core.rx import P5Receiver
 from repro.fastpath.differential import DifferentialHarness
-from repro.fastpath.engine import FastpathEngine
+from repro.fastpath.engine import FastpathEngine, FastpathRxResult
 from repro.resilience.events import EventLog
 from repro.rtl.pipeline import StreamSource, beats_from_bytes
 from repro.rtl.simulator import Simulator
@@ -78,35 +79,15 @@ class RxDelta:
     mode: str = GuardMode.FAST.value
 
 
-class _StreamingFastRx:
-    """Frame-level decoder with an open-tail carry across feeds."""
-
-    def __init__(self, engine: FastpathEngine) -> None:
-        self.engine = engine
-        self._tail = b""
-
-    def flush(self) -> None:
-        self._tail = b""
-
-    def feed(self, data: bytes) -> RxDelta:
-        buf = self._tail + data
-        delta = RxDelta(mode=GuardMode.FAST.value)
-        if not buf:
-            return delta
-        result = self.engine.decode_stream(buf)
-        # Carry from the last flag onward: a frame still open at the
-        # interval boundary re-decodes whole once its closing flag
-        # arrives.  No flag at all means pure hunt noise — drop it.
-        idx = buf.rfind(bytes([self.engine.config.flag_octet]))
-        self._tail = buf[idx:] if idx >= 0 else b""
-        delta.frames = result.frames
-        delta.frames_ok = result.frames_ok
-        delta.fcs_errors = result.fcs_errors
-        delta.framing_faults = (
-            result.aborts + result.oversize_drops + result.runt_frames
-        )
-        delta.hunt_octets = result.octets_discarded_hunting
-        return delta
+def _fast_delta(result: FastpathRxResult) -> RxDelta:
+    return RxDelta(
+        frames=result.frames,
+        frames_ok=result.frames_ok,
+        fcs_errors=result.fcs_errors,
+        framing_faults=result.aborts + result.oversize_drops + result.runt_frames,
+        hunt_octets=result.octets_discarded_hunting,
+        mode=GuardMode.FAST.value,
+    )
 
 
 class _StreamingCycleRx:
@@ -218,7 +199,6 @@ class FastpathGuard:
         self._clean_streak = 0
         self._sabotage_armed = False
         self._harness = DifferentialHarness(config, timeout=timeout)
-        self._fast_rx = _StreamingFastRx(self.engine)
         self._cycle_rx: Optional[_StreamingCycleRx] = None
         self._pending_carry = b""
 
@@ -294,10 +274,9 @@ class FastpathGuard:
         self.quarantines.append(record)
         self.mode = GuardMode.QUARANTINED
         self._clean_streak = 0
-        # Hand the fast decoder's open tail to the cycle receiver so no
-        # in-flight frame is lost across the mode switch.
-        self._pending_carry = self._fast_rx._tail
-        self._fast_rx.flush()
+        # Hand the fast decoder's open frame to the cycle receiver so
+        # no in-flight frame is lost across the mode switch.
+        self._pending_carry = self.engine.take_carry()
         self.log.record(
             interval, "fastpath", self.name, "quarantine",
             diagnostic="; ".join(mismatches),
@@ -316,7 +295,7 @@ class FastpathGuard:
                 self.mode = GuardMode.FAST
                 self.reinstatements += 1
                 self._clean_streak = 0
-                self._fast_rx.flush()
+                self.engine.take_carry()
                 self.log.record(
                     interval, "fastpath", self.name, "reinstate",
                     after_clean_intervals=self.reinstate_after,
@@ -338,11 +317,11 @@ class FastpathGuard:
                 )
             carry, self._pending_carry = self._pending_carry, b""
             return self._cycle_rx.feed(carry + data)
-        return self._fast_rx.feed(data)
+        return _fast_delta(self.engine.feed(data))
 
     def resync(self) -> None:
         """Recovery-ladder rung: drop delineation state and re-hunt."""
-        self._fast_rx.flush()
+        self.engine.take_carry()
         self._pending_carry = b""
 
     def describe(self) -> Dict[str, object]:

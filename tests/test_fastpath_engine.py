@@ -1,17 +1,12 @@
-"""The frame-level fastpath engine: TX/RX kernels, SONET path, adapters."""
+"""The frame-level fastpath engine: TX/RX kernels, SONET path."""
 
 import pytest
 
 from repro.core.config import P5Config
 from repro.crc import CRC16_X25
-from repro.fastpath import (
-    FastpathEngine,
-    SonetFastpath,
-    build_fastpath_loopback,
-)
-from repro.hdlc import Accm, HdlcFramer
+from repro.fastpath import DifferentialHarness, FastpathEngine, SonetFastpath
+from repro.hdlc import Accm, HdlcFramer, stuff, unstuff
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
-from repro.rtl.simulator import Simulator
 from repro.workloads.packets import ppp_frame_contents
 
 CONTENTS = [b"\xff\x03\x00\x21hello", b"\x7e\x7d\x7e\x7d", bytes(range(64))]
@@ -119,22 +114,29 @@ def test_rx_oversize_boundary_frame_still_decodes():
     assert rx.good_frames() == [content]
 
 
-def test_destuff_chained_escapes_match_unstuff():
-    from repro.hdlc import stuff, unstuff
+@pytest.mark.parametrize("run", [1, 2, 3])
+def test_rx_oversize_cut_inside_an_escape_run(run):
+    """A deleting escape right at the cut has nothing left to restore:
+    Escape Detect drops it, and so must the engine."""
+    config = P5Config(max_frame_octets=16)
+    body = b"A" * (17 - run) + bytes([ESC_OCTET]) * run + b"BCDEF"
+    line = bytes([FLAG_OCTET]) + body + bytes([FLAG_OCTET])
+    rx = FastpathEngine(config).decode_stream(line)
+    assert rx.oversize_drops == 1 and rx.fcs_errors == 1
+    assert rx.octets_deleted == (run + 1) // 2
+    DifferentialHarness(config).run_rx(line).assert_ok()
 
-    engine = FastpathEngine()
+
+def test_destuff_chained_escapes_match_unstuff():
+    # The engine's RX destuff is the shared kernel in non-strict mode.
     payload = bytes([ESC_OCTET, ESC_OCTET, FLAG_OCTET, 0x00, ESC_OCTET])
     stuffed = stuff(payload)
-    import numpy as np
-
-    clear, deleted = engine._destuff(np.frombuffer(stuffed, dtype=np.uint8))
-    assert clear == unstuff(stuffed) == payload
-    assert deleted == len(stuffed) - len(payload)
+    assert unstuff(stuffed, strict=False) == unstuff(stuffed) == payload
     # Non-conforming 7D 7D decodes to 5D, like the cycle pipeline.
-    raw = np.array([ESC_OCTET, ESC_OCTET], dtype=np.uint8)
-    clear, deleted = engine._destuff(raw)
-    assert clear == bytes([ESC_OCTET ^ 0x20])
-    assert deleted == 1
+    raw = bytes([ESC_OCTET, ESC_OCTET])
+    assert unstuff(raw, strict=False) == bytes([ESC_OCTET ^ 0x20])
+    line = bytes([FLAG_OCTET]) + raw + b"\x41" + bytes([FLAG_OCTET])
+    assert FastpathEngine().decode_stream(line).octets_deleted == 1
 
 
 def test_sonet_fastpath_roundtrip():
@@ -144,18 +146,3 @@ def test_sonet_fastpath_roundtrip():
     assert result.recovered == contents
     assert result.rx.fcs_errors == 0
 
-
-def test_adapter_topology_matches_direct_engine_calls():
-    config = P5Config()
-    modules, channels = build_fastpath_loopback(config)
-    source, _tx, rx_mod, sink = modules
-    contents = ppp_frame_contents(8, seed=2)
-    for content in contents:
-        source.submit(content)
-    sim = Simulator(modules, channels)
-    sim.run_until(lambda: len(sink.frames) >= len(contents), timeout=10_000)
-    assert sink.good_frames() == list(contents)
-    direct = FastpathEngine(config).loopback(contents)[1]
-    assert rx_mod.result.frames_ok == direct.frames_ok
-    with pytest.raises(ValueError):
-        source.submit(b"")
