@@ -336,9 +336,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     findings: List[lint.Finding] = []
     if not args.no_graph:
-        for name, modules, channels in lint.shipped_topologies():
+        for topology in lint.shipped_topologies():
             findings.extend(
-                lint.lint_topology(modules, channels, topology_name=name)
+                lint.lint_topology(
+                    topology.modules, topology.channels, topology_name=topology.name
+                )
             )
     if not args.no_ast:
         paths = args.paths

@@ -2,7 +2,8 @@
 
 A :class:`P5System` bundles one transmitter, one receiver and the
 Protocol OAM.  :class:`PhyWire` models the physical link between two
-systems (or a loopback on one); :func:`run_duplex_exchange` is the
+systems (:func:`build_duplex`) or a loopback on one
+(:func:`build_loopback`); :func:`run_duplex_exchange` is the
 standard harness the tests and throughput benchmarks use: two P5s,
 cross-connected, exchanging real PPP frames cycle-accurately.
 """
@@ -19,7 +20,7 @@ from repro.core.tx import P5Transmitter
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 from repro.rtl.simulator import Simulator
 
-__all__ = ["PhyWire", "P5System", "DuplexResult", "run_duplex_exchange"]
+__all__ = ["PhyWire", "P5System", "DuplexResult", "build_loopback", "run_duplex_exchange"]
 
 
 class PhyWire(Module):
@@ -132,6 +133,26 @@ def build_duplex(
     sim = Simulator(modules, channels)
     sim.add_observer(lambda _cycle: (a.oam.service(), b.oam.service()))
     return a, b, sim
+
+
+def build_loopback(
+    config: Optional[P5Config] = None, *, name: str = "p5", corrupt=None
+) -> Tuple[P5System, Simulator]:
+    """One P5 looped to itself through a PhyWire, plus a simulator.
+
+    Unlike :func:`build_duplex` no OAM observer is installed, so the
+    simulator does no per-cycle work beyond the datapath; ``corrupt``
+    passes to the :class:`PhyWire` (a tap that returns its beat
+    unchanged captures the line).
+    """
+    system = P5System(config, name=name)
+    wire = PhyWire(
+        f"{name}.wire", system.tx.phy_out, system.rx.phy_in, corrupt=corrupt
+    )
+    sim = Simulator(
+        system.tx.modules + [wire] + system.rx.modules, system.channels
+    )
+    return system, sim
 
 
 def run_duplex_exchange(

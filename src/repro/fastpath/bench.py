@@ -25,11 +25,10 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import P5Config
-from repro.core.p5 import P5System, PhyWire
+from repro.core.p5 import build_loopback
 from repro.fastpath.differential import DifferentialHarness
 from repro.fastpath.engine import FastpathEngine
 from repro.hdlc.constants import FLAG_OCTET
-from repro.rtl.simulator import Simulator
 from repro.utils.rng import make_rng
 
 __all__ = ["BENCH_SCHEMA", "standard_workloads", "run_bench", "render_text"]
@@ -66,11 +65,7 @@ def _time_cycle(
     contents: Sequence[bytes], config: P5Config, *, timeout: int
 ) -> Dict[str, float]:
     """Clock one P5 loopback through the workload; wall-time it."""
-    system = P5System(config, name="bench")
-    wire = PhyWire("bench.wire", system.tx.phy_out, system.rx.phy_in)
-    sim = Simulator(
-        system.tx.modules + [wire] + system.rx.modules, system.channels
-    )
+    system, sim = build_loopback(config, name="bench")
     for content in contents:
         system.submit(content)
     start = time.perf_counter()

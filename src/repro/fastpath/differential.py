@@ -1,15 +1,26 @@
 """Differential equivalence harness: fastpath vs. cycle-accurate P5.
 
 The fast engine is only trustworthy while it is *provably the same
-machine* as the golden cycle model.  This harness runs one workload
-through both and compares every observable the two share:
+machine* as the golden cycle model.  This module is the one place the
+cycle engine runs against the fastpath, and it compares every
+observable the two share:
 
 * **line stream** — the TX wire bytes must be identical octet for
   octet (captured from the cycle model's PHY hop);
 * **frames** — contents and FCS verdicts landed in receive memory;
 * **counters** — the OAM-visible statistics both sides keep: frames
-  wrapped, escapes inserted/deleted, frames ok, FCS errors, runts,
-  aborts, oversize cuts, hunt discards and empty inter-frame bodies.
+  wrapped and escapes inserted on TX, and on RX the :data:`RX_COUNTERS`
+  table (frames ok, FCS errors, runts, aborts, oversize cuts, hunt
+  discards, escapes deleted and empty inter-frame bodies), which maps
+  each OAM register name to its :class:`FastpathRxResult` field and
+  its :class:`~repro.core.rx.P5Receiver` counter.
+
+The cycle side reports in the fastpath's own
+:class:`~repro.fastpath.engine.FastpathRxResult`, so one record type
+carries both engines' answers.  :meth:`DifferentialHarness.cycle_loopback`
+clocks a batch through one P5 loopback
+(:func:`~repro.core.p5.build_loopback`); :class:`CycleReceiver` is a
+persistent cycle receiver fed raw wire bytes piece by piece.
 
 :meth:`DifferentialHarness.run` covers the clean loopback (host
 contents in, frames out).  :meth:`DifferentialHarness.run_rx` feeds an
@@ -27,15 +38,87 @@ what ``run_rx`` asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
-from repro.core.p5 import P5System, PhyWire
-from repro.fastpath.engine import FastpathEngine
+from repro.core.p5 import P5System, build_loopback
+from repro.core.rx import P5Receiver
+from repro.fastpath.engine import FastpathEngine, FastpathRxResult
 from repro.rtl.pipeline import StreamSource, beats_from_bytes
 from repro.rtl.simulator import Simulator
 
-__all__ = ["DifferentialHarness", "DifferentialReport"]
+__all__ = [
+    "DifferentialHarness",
+    "DifferentialReport",
+    "CycleReceiver",
+    "RX_COUNTERS",
+]
+
+#: The RX counter set both engines keep, keyed by OAM register name
+#: (:mod:`repro.core.oam`; ``EMPTY_BODIES`` has no register): the
+#: :class:`FastpathRxResult` field and the :class:`P5Receiver` counter
+#: behind it.
+RX_COUNTERS: Dict[str, Tuple[str, Callable[[P5Receiver], int]]] = {
+    "RX_FRAMES_OK": ("frames_ok", attrgetter("crc.frames_ok")),
+    "RX_FCS_ERRORS": ("fcs_errors", attrgetter("crc.fcs_errors")),
+    "RX_RUNTS": ("runt_frames", attrgetter("crc.runt_frames")),
+    "RX_ABORTS": ("aborts", attrgetter("delineator.aborts")),
+    "RX_OVERSIZE": ("oversize_drops", attrgetter("delineator.oversize_drops")),
+    "RX_HUNT_DISCARDS": (
+        "octets_discarded_hunting",
+        attrgetter("delineator.octets_discarded_hunting"),
+    ),
+    "ESC_DELETED": ("octets_deleted", attrgetter("escape.octets_deleted")),
+    "EMPTY_BODIES": ("empty_bodies", attrgetter("delineator.empty_bodies")),
+}
+
+#: The counters an aborted frame moves the same way on both engines
+#: (see the module docstring) — the ones ``run_rx`` compares.
+_ABORT_INVARIANT = (
+    "RX_FRAMES_OK", "RX_ABORTS", "RX_OVERSIZE", "RX_HUNT_DISCARDS", "EMPTY_BODIES",
+)
+
+
+def _rx_counts(rx: P5Receiver) -> Dict[str, int]:
+    """A cycle receiver's counters, by :class:`FastpathRxResult` field."""
+    return {name: read(rx) for name, read in RX_COUNTERS.values()}
+
+
+class CycleReceiver:
+    """A persistent cycle-accurate receiver fed raw wire bytes.
+
+    Each :meth:`feed` appends its bytes to the wire source through
+    :meth:`~repro.rtl.pipeline.StreamSource.extend`, clocks until they
+    are consumed and the pipeline drains, and reports the frames and
+    counters that piece produced.  Fed once it is ``run_rx``'s
+    receiver; fed interval by interval it is a quarantined lane's.
+    """
+
+    def __init__(self, config: P5Config, name: str, *, timeout: int) -> None:
+        self.rx = P5Receiver(config, name=name)
+        self.source = StreamSource(f"{name}.wire", self.rx.phy_in, [])
+        self.sim = Simulator([self.source] + self.rx.modules, self.rx.channels)
+        self.timeout = timeout
+        self._width_bytes = config.width_bytes
+        self._frame_cursor = 0
+        self._counts = _rx_counts(self.rx)
+
+    def feed(self, data: bytes) -> FastpathRxResult:
+        if data:
+            self.source.extend(
+                beats_from_bytes(data, self._width_bytes, frame_marks=False)
+            )
+            self.sim.run_until(lambda: self.source.done, timeout=self.timeout)
+            self.sim.drain(idle_cycles=16, timeout=self.timeout)
+        before, after = self._counts, _rx_counts(self.rx)
+        self._counts = after
+        frames = self.rx.frames[self._frame_cursor:]
+        self._frame_cursor = len(self.rx.frames)
+        return FastpathRxResult(
+            frames=frames,
+            **{name: after[name] - before[name] for name in after},
+        )
 
 
 @dataclass
@@ -56,6 +139,22 @@ class DifferentialReport:
                 "fastpath/cycle divergence: " + "; ".join(self.mismatches)
             )
 
+    def compare(self, name: str, cycle_value: int, fast_value: int) -> None:
+        if cycle_value != fast_value:
+            self.mismatches.append(
+                f"counter {name}: cycle {cycle_value} vs fastpath {fast_value}"
+            )
+
+    def compare_rx(
+        self,
+        cycle: FastpathRxResult,
+        fast: FastpathRxResult,
+        registers: Sequence[str] = tuple(RX_COUNTERS),
+    ) -> None:
+        for register in registers:
+            name = RX_COUNTERS[register][0]
+            self.compare(register, getattr(cycle, name), getattr(fast, name))
+
 
 class DifferentialHarness:
     """Runs identical workloads through both engines and compares."""
@@ -70,27 +169,17 @@ class DifferentialHarness:
         self.timeout = timeout
         self.engine = FastpathEngine(self.config)
 
-    # ------------------------------------------------------------ cycle side
-    def _build_loopback(self):
-        """One P5 looped to itself through a line-capturing PhyWire."""
-        system = P5System(self.config, name="diff")
+    def cycle_loopback(self, contents: Sequence[bytes]) -> Tuple[P5System, bytes]:
+        """Clock a batch through one P5 loopback until delivered;
+        returns the system and the line its transmitter put on the
+        wire."""
         captured = bytearray()
 
         def tap(beat):
             captured.extend(beat.payload())
             return beat
 
-        wire = PhyWire(
-            "diff.wire", system.tx.phy_out, system.rx.phy_in, corrupt=tap
-        )
-        sim = Simulator(
-            system.tx.modules + [wire] + system.rx.modules,
-            system.channels,
-        )
-        return system, sim, captured
-
-    def _run_cycle_tx(self, contents: Sequence[bytes]):
-        system, sim, captured = self._build_loopback()
+        system, sim = build_loopback(self.config, name="diff", corrupt=tap)
         for content in contents:
             system.submit(content)
         sim.run_until(
@@ -100,23 +189,10 @@ class DifferentialHarness:
         sim.drain(timeout=self.timeout)
         return system, bytes(captured)
 
-    def _run_cycle_rx(self, line: bytes):
-        """Feed raw wire bytes into a standalone cycle receiver."""
-        from repro.core.rx import P5Receiver
-
-        rx = P5Receiver(self.config, name="diffrx")
-        beats = beats_from_bytes(line, self.config.width_bytes, frame_marks=False)
-        source = StreamSource("diffrx.wire", rx.phy_in, beats)
-        sim = Simulator([source] + rx.modules, rx.channels)
-        sim.run_until(lambda: source.done, timeout=self.timeout)
-        sim.drain(idle_cycles=16, timeout=self.timeout)
-        return rx
-
-    # ------------------------------------------------------------- the runs
     def run(self, contents: Sequence[bytes]) -> DifferentialReport:
         """Full clean-loopback differential: TX + RX, all observables."""
         tx_fast, rx_fast = self.engine.loopback(contents)
-        system, line_cycle = self._run_cycle_tx(contents)
+        system, line_cycle = self.cycle_loopback(contents)
 
         report = DifferentialReport(
             frames=len(contents), line_octets=len(tx_fast.line)
@@ -137,43 +213,11 @@ class DifferentialHarness:
                 f"received frames differ: cycle {len(system.rx.frames)} vs "
                 f"fastpath {len(rx_fast.frames)}"
             )
-        oam = system.oam
-        from repro.core.oam import (
-            ADDR_ESC_DELETED,
-            ADDR_ESC_INSERTED,
-            ADDR_RX_ABORTS,
-            ADDR_RX_FCS_ERRORS,
-            ADDR_RX_FRAMES_OK,
-            ADDR_RX_HUNT_DISCARDS,
-            ADDR_RX_OVERSIZE,
-            ADDR_RX_RUNTS,
-            ADDR_TX_FRAMES,
+        report.compare("TX_FRAMES", system.tx.flags.frames_wrapped, tx_fast.frames)
+        report.compare(
+            "ESC_INSERTED", system.tx.escape.octets_escaped, tx_fast.octets_escaped
         )
-
-        pairs = [
-            ("TX_FRAMES", oam.read(ADDR_TX_FRAMES), tx_fast.frames),
-            ("ESC_INSERTED", oam.read(ADDR_ESC_INSERTED), tx_fast.octets_escaped),
-            ("RX_FRAMES_OK", oam.read(ADDR_RX_FRAMES_OK), rx_fast.frames_ok),
-            ("RX_FCS_ERRORS", oam.read(ADDR_RX_FCS_ERRORS), rx_fast.fcs_errors),
-            ("RX_RUNTS", oam.read(ADDR_RX_RUNTS), rx_fast.runt_frames),
-            ("RX_ABORTS", oam.read(ADDR_RX_ABORTS), rx_fast.aborts),
-            ("RX_OVERSIZE", oam.read(ADDR_RX_OVERSIZE), rx_fast.oversize_drops),
-            (
-                "RX_HUNT_DISCARDS",
-                oam.read(ADDR_RX_HUNT_DISCARDS),
-                rx_fast.octets_discarded_hunting,
-            ),
-            ("ESC_DELETED", oam.read(ADDR_ESC_DELETED), rx_fast.octets_deleted),
-        ]
-        for name, cycle_value, fast_value in pairs:
-            if cycle_value != fast_value:
-                note(f"counter {name}: cycle {cycle_value} vs fastpath {fast_value}")
-        if system.rx.delineator.empty_bodies != rx_fast.empty_bodies:
-            note(
-                f"counter EMPTY_BODIES: cycle "
-                f"{system.rx.delineator.empty_bodies} vs fastpath "
-                f"{rx_fast.empty_bodies}"
-            )
+        report.compare_rx(FastpathRxResult(**_rx_counts(system.rx)), rx_fast)
         return report
 
     def run_rx(self, line: bytes) -> DifferentialReport:
@@ -185,36 +229,14 @@ class DifferentialHarness:
         prefix that the frame-level engine drops whole (see the module
         docstring).
         """
-        rx_cycle = self._run_cycle_rx(line)
+        rx_cycle = CycleReceiver(self.config, "diffrx", timeout=self.timeout).feed(line)
         rx_fast = self.engine.decode_stream(line)
 
         report = DifferentialReport(frames=len(rx_fast.frames), line_octets=len(line))
-        note = report.mismatches.append
         if rx_cycle.good_frames() != rx_fast.good_frames():
-            note(
+            report.mismatches.append(
                 f"good frames differ: cycle {len(rx_cycle.good_frames())} vs "
                 f"fastpath {len(rx_fast.good_frames())}"
             )
-        pairs: List[Tuple[str, int, int]] = [
-            ("RX_FRAMES_OK", rx_cycle.crc.frames_ok, rx_fast.frames_ok),
-            ("RX_ABORTS", rx_cycle.delineator.aborts, rx_fast.aborts),
-            (
-                "RX_OVERSIZE",
-                rx_cycle.delineator.oversize_drops,
-                rx_fast.oversize_drops,
-            ),
-            (
-                "RX_HUNT_DISCARDS",
-                rx_cycle.delineator.octets_discarded_hunting,
-                rx_fast.octets_discarded_hunting,
-            ),
-            (
-                "EMPTY_BODIES",
-                rx_cycle.delineator.empty_bodies,
-                rx_fast.empty_bodies,
-            ),
-        ]
-        for name, cycle_value, fast_value in pairs:
-            if cycle_value != fast_value:
-                note(f"counter {name}: cycle {cycle_value} vs fastpath {fast_value}")
+        report.compare_rx(rx_cycle, rx_fast, _ABORT_INVARIANT)
         return report

@@ -164,11 +164,13 @@ def build_fault_harness(
 
     The transmitter's PHY output feeds the same system's receiver via
     the injector, so a single system exercises the full TX + RX path;
-    the OAM is serviced every cycle.  Also the topology the lint graph
-    DRC validates (see :func:`repro.lint.targets.shipped_topologies`).
-    ``name`` prefixes every module and channel, so several harnesses
-    (e.g. the resilience runtime's working + protect lanes) can share
-    one topology without name collisions.
+    the OAM is serviced every cycle.  Two entries of
+    :func:`repro.lint.targets.shipped_topologies`, which ``repro lint``
+    and ``repro sta`` check, are built from it: ``fault-harness`` (one
+    harness) and ``resilience-dual-lane`` (two).  ``name`` prefixes
+    every module and channel, so several harnesses (e.g. the
+    resilience runtime's working + protect lanes) can share one
+    topology without name collisions.
     """
     cfg = config or P5Config(max_frame_octets=512)
     system = P5System(cfg, name=name)

@@ -30,7 +30,7 @@ from repro.lint.report import (
     sort_findings,
 )
 from repro.lint.suppress import suppressed_lines
-from repro.lint.targets import shipped_topologies
+from repro.lint.targets import Topology, shipped_topologies
 
 __all__ = [
     "RULES",
@@ -49,6 +49,7 @@ __all__ = [
     "sort_findings",
     "has_errors",
     "suppressed_lines",
+    "Topology",
     "shipped_topologies",
     "JSON_SCHEMA_VERSION",
     "SARIF_VERSION",

@@ -1,67 +1,110 @@
-"""The shipped topologies the ``repro lint`` CLI checks by default.
+"""The shipped topologies ``repro lint`` and ``repro sta`` check.
 
 Building a topology wires modules and channels (registering the graph
 observationally) without clocking a cycle — exactly the elaboration
-step a hardware DRC runs against.  Each entry covers a distinct
-wiring shape: the full cross-connected duplex system at both datapath
-widths (4-stage and 2-stage escape pipelines), a standalone TX
-pipeline drained by a sink, a standalone RX pipeline fed by a source,
-the single-unit trace harness from the CLI, and the fault-injection
-loopback harness (TX looped to RX through a BeatFaultInjector).
+step a hardware DRC or timing analyzer runs against.  Each entry
+covers a distinct wiring shape: the full cross-connected duplex system
+at both datapath widths (4-stage and 2-stage escape pipelines), a
+standalone TX pipeline drained by a sink, a standalone RX pipeline fed
+by a source, the single-unit trace harness from the CLI, the
+fault-injection loopback harness (TX looped to RX through a
+BeatFaultInjector), and the resilience runtime's working + protect
+lane pair (two fault harnesses in one graph).
+
+Every entry carries the paper's latency budgets
+(:mod:`repro.sta.claims`) for each transmitter and receiver it holds,
+so the graph DRC and the static timing analyzer see the same list.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence
 
 from repro.rtl.module import Channel, Module
 
-__all__ = ["shipped_topologies"]
+if TYPE_CHECKING:  # pragma: no cover - repro.sta imports repro.lint
+    from repro.sta.analyzer import LatencyBudget
+
+__all__ = ["Topology", "shipped_topologies"]
 
 
-def shipped_topologies() -> List[Tuple[str, Sequence[Module], Iterable[Channel]]]:
-    """Build ``(name, modules, channels)`` triples for the graph DRC."""
+class Topology(NamedTuple):
+    """One elaborated topology and the paper budgets it is held to."""
+
+    name: str
+    modules: Sequence[Module]
+    channels: Iterable[Channel]
+    budgets: Sequence[LatencyBudget]
+
+
+def shipped_topologies() -> List[Topology]:
+    """Build every shipped topology for the graph DRC and the STA."""
     from repro.core.config import P5Config
     from repro.core.escape_pipeline import PipelinedEscapeGenerate
     from repro.core.p5 import build_duplex
     from repro.core.rx import P5Receiver
     from repro.core.tx import P5Transmitter
+    from repro.faults.campaign import build_fault_harness
     from repro.rtl.pipeline import StreamSink, StreamSource
+    from repro.sta.claims import (
+        paper_budgets,
+        rx_end_to_end_budget,
+        sorter_fill_budget,
+        tx_end_to_end_budget,
+    )
 
-    topologies: List[Tuple[str, Sequence[Module], Iterable[Channel]]] = []
+    topologies: List[Topology] = []
 
     for config in (P5Config.thirty_two_bit(), P5Config.eight_bit()):
-        _a, _b, sim = build_duplex(config)
-        topologies.append(
-            (f"duplex/{config.width_bits}-bit", sim.modules, sim.channels)
-        )
+        a, b, sim = build_duplex(config)
+        topologies.append(Topology(
+            f"duplex/{config.width_bits}-bit", sim.modules, sim.channels,
+            paper_budgets(a.tx, a.rx) + paper_budgets(b.tx, b.rx),
+        ))
 
     config = P5Config.thirty_two_bit()
     tx = P5Transmitter(config, name="tx")
     tx_sink = StreamSink("wire", tx.phy_out)
-    topologies.append(("tx-standalone", tx.modules + [tx_sink], tx.channels))
+    topologies.append(Topology(
+        "tx-standalone", tx.modules + [tx_sink], tx.channels,
+        [sorter_fill_budget(tx), tx_end_to_end_budget(tx)],
+    ))
 
     rx = P5Receiver(config, name="rx")
     rx_source = StreamSource("wire", rx.phy_in, [])
-    topologies.append(("rx-standalone", [rx_source] + rx.modules, rx.channels))
+    topologies.append(Topology(
+        "rx-standalone", [rx_source] + rx.modules, rx.channels,
+        [rx_end_to_end_budget(rx)],
+    ))
 
     c_in = Channel("escgen.in", capacity=2)
     c_out = Channel("escgen.out", capacity=2)
     source = StreamSource("src", c_in, [])
     unit = PipelinedEscapeGenerate("gen", c_in, c_out, width_bytes=4)
     sink = StreamSink("sink", c_out)
-    topologies.append(("escape-trace", [source, unit, sink], [c_in, c_out]))
-
-    from repro.faults.campaign import build_fault_harness
-
-    _system, _injector, fault_sim = build_fault_harness(
-        P5Config.thirty_two_bit(max_frame_octets=512)
+    topologies.append(
+        Topology("escape-trace", [source, unit, sink], [c_in, c_out], [])
     )
-    topologies.append(("fault-harness", fault_sim.modules, fault_sim.channels))
 
-    from repro.resilience.targets import build_dual_lane_topology
+    harness_config = P5Config.thirty_two_bit(max_frame_octets=512)
+    system, _injector, fault_sim = build_fault_harness(harness_config)
+    topologies.append(Topology(
+        "fault-harness", fault_sim.modules, fault_sim.channels,
+        paper_budgets(system.tx, system.rx),
+    ))
 
-    dl_modules, dl_channels = build_dual_lane_topology()
-    topologies.append(("resilience-dual-lane", dl_modules, dl_channels))
+    modules: List[Module] = []
+    channels: List[Channel] = []
+    budgets: List[LatencyBudget] = []
+    for lane in ("work", "prot"):
+        system, _injector, lane_sim = build_fault_harness(
+            harness_config, name=f"aps.{lane}"
+        )
+        modules.extend(lane_sim.modules)
+        channels.extend(lane_sim.channels)
+        budgets.extend(paper_budgets(system.tx, system.rx))
+    topologies.append(
+        Topology("resilience-dual-lane", modules, channels, budgets)
+    )
 
     return topologies

@@ -24,7 +24,7 @@ as one long-lived 1+1 protected session:
 from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog, ResilienceEvent
-from repro.resilience.guard import FastpathGuard, GuardMode, RxDelta
+from repro.resilience.guard import FastpathGuard, GuardMode
 from repro.resilience.health import HealthEngine, HealthSample, LaneState
 from repro.resilience.ladder import LadderAction, RecoveryLadder, RecoveryStep
 from repro.resilience.supervisor import (
@@ -51,7 +51,6 @@ __all__ = [
     "RecoveryLadder",
     "RecoveryStep",
     "ResilienceEvent",
-    "RxDelta",
     "SoakResult",
     "SoakViolation",
     "SupervisorConfig",

@@ -76,7 +76,14 @@ def chaos_schedule(
 
     * at least one **working-lane cut** long enough to force an APS
       switchover (duration > hold-off);
-    * at least one **sabotage** event (forced fastpath mismatch);
+    * at least one **sabotage** event (forced fastpath mismatch) on
+      the working lane, at the first interval from two thirds into the
+      schedule (wrapping to the start) that lies outside every cut's
+      guard window and more than ``2 * (wait_to_restore + hold_off)``
+      intervals after any other working-lane event, none starting by
+      the next interval — so traffic is on the working lane when it
+      strikes.  It is placed after every other event is drawn, so the
+      rest of the schedule does not depend on it;
     * cuts never overlap each other (on either lane) and own an
       exclusive guard window — ``wait_to_restore + hold_off`` clear
       intervals on both sides — so every failover fully recovers
@@ -112,17 +119,11 @@ def chaos_schedule(
     reserve_cut(first_cut, cut_len)
     out.append(ChaosEvent(first_cut, WORKING, "cut", duration=cut_len))
 
-    # Mandatory sabotage (on the working lane's fastpath), clear of cuts.
-    sabotage_at = lo + 2 * (hi - lo) // 3
-    while _overlaps(cut_spans, sabotage_at, sabotage_at) and sabotage_at < hi:
-        sabotage_at += 1
-    out.append(ChaosEvent(sabotage_at, WORKING, "sabotage"))
-
     kinds = ("burst", "storm", "cut")
     sabotages = 1
     cuts = 1
     attempts = 0
-    while len(out) < events and attempts < 50 * events:
+    while len(out) < events - 1 and attempts < 50 * events:
         attempts += 1
         kind = kinds[int(rng.integers(0, len(kinds)))]
         lane = (WORKING, PROTECT)[int(rng.integers(0, 2))]
@@ -152,9 +153,26 @@ def chaos_schedule(
             continue
         bits = int(rng.integers(2, MAX_BURST_BITS + 1))
         out.append(ChaosEvent(at, lane, "burst", bits=bits))
-    if len(out) < events:
+    if len(out) < events - 1:
         raise ValueError(
             f"could not place {events} events in {intervals} intervals"
         )
+
+    # Mandatory sabotage on the working lane's fastpath, placed last so
+    # it lands where traffic is: outside every cut's guard window, and
+    # with no working-lane event settling (a storm or burst can still
+    # switch traffic to protect) or starting around it.
+    settle = 2 * guard
+    working = [(e.interval, e.end) for e in out if e.lane == WORKING]
+    start = lo + 2 * (hi - lo) // 3
+    slots = [
+        at for at in (*range(start, hi), *range(lo, start))
+        if not _overlaps(cut_spans, at, at)
+    ] or [start]
+    sabotage_at = next(
+        (at for at in slots if not _overlaps(working, at - settle, at + 1)),
+        slots[0],
+    )
+    out.append(ChaosEvent(sabotage_at, WORKING, "sabotage"))
     out.sort(key=lambda e: (e.interval, e.lane, e.kind))
     return out

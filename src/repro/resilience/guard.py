@@ -1,6 +1,6 @@
 """Graceful fastpath degradation with differential spot-checks.
 
-The supervisor moves traffic through the PR-4
+The supervisor moves traffic through the
 :class:`~repro.fastpath.engine.FastpathEngine` — that is what makes a
 10k-frame soak affordable — but the fast engine is only trusted while
 it provably matches the golden cycle model.  This guard enforces that
@@ -9,20 +9,24 @@ trust at runtime:
 * in **fast** mode, every ``check_every``-th encode (and any encode
   whose output left the engine tampered — the chaos schedule's
   ``sabotage`` event models a fastpath memory fault) is differentially
-  spot-checked against the cycle engine via the PR-4
-  :class:`~repro.fastpath.differential.DifferentialHarness`, plus a
+  spot-checked against the cycle engine via
+  :meth:`DifferentialHarness.run
+  <repro.fastpath.differential.DifferentialHarness.run>`, plus a
   live comparison of the bytes actually shipped against the engine's
   re-encode;
 * any mismatch **quarantines** the fastpath: a diagnostic event is
-  logged, and TX/RX fall back to the cycle-accurate transmitter and a
-  persistent cycle receiver (running under a timing
+  logged, and TX/RX fall back to the harness's cycle-accurate
+  loopback (:meth:`~repro.fastpath.differential.DifferentialHarness.cycle_loopback`)
+  and a persistent :class:`~repro.fastpath.differential.CycleReceiver`
+  (running under a non-strict timing
   :class:`~repro.sta.conformance.ContractMonitor`, whose findings feed
   the health engine) — traffic keeps flowing, slower but golden;
 * after ``reinstate_after`` consecutive quarantined intervals in which
   the fast engine's re-encode agrees byte-for-byte with the shipped
   cycle line, the fastpath is reinstated.
 
-Both receive paths are *streaming*: the fast engine's
+Both receive paths are *streaming* and report the same
+:class:`~repro.fastpath.engine.FastpathRxResult`: the fast engine's
 :meth:`~repro.fastpath.engine.FastpathEngine.feed` carries the open
 frame (from its last seen flag) between intervals, and the cycle
 receiver is a long-lived pipeline fed through
@@ -34,19 +38,16 @@ continuous wire would.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
-from repro.core.p5 import P5System, PhyWire
-from repro.core.rx import P5Receiver
-from repro.fastpath.differential import DifferentialHarness
+from repro.fastpath.differential import CycleReceiver, DifferentialHarness
 from repro.fastpath.engine import FastpathEngine, FastpathRxResult
 from repro.resilience.events import EventLog
-from repro.rtl.pipeline import StreamSource, beats_from_bytes
-from repro.rtl.simulator import Simulator
+from repro.sta.conformance import ContractMonitor
 
-__all__ = ["GuardMode", "RxDelta", "QuarantineRecord", "FastpathGuard"]
+__all__ = ["GuardMode", "QuarantineRecord", "FastpathGuard"]
 
 
 class GuardMode(enum.Enum):
@@ -63,108 +64,6 @@ class QuarantineRecord:
 
     def as_dict(self) -> Dict[str, object]:
         return {"interval": self.interval, "mismatches": list(self.mismatches)}
-
-
-@dataclass
-class RxDelta:
-    """One interval's receive outcome, mode-independent."""
-
-    frames: List[Tuple[bytes, bool]] = field(default_factory=list)
-    frames_ok: int = 0
-    fcs_errors: int = 0
-    #: Aborts + oversize cuts + runts.
-    framing_faults: int = 0
-    hunt_octets: int = 0
-    contract_violations: int = 0
-    mode: str = GuardMode.FAST.value
-
-
-def _fast_delta(result: FastpathRxResult) -> RxDelta:
-    return RxDelta(
-        frames=result.frames,
-        frames_ok=result.frames_ok,
-        fcs_errors=result.fcs_errors,
-        framing_faults=result.aborts + result.oversize_drops + result.runt_frames,
-        hunt_octets=result.octets_discarded_hunting,
-        mode=GuardMode.FAST.value,
-    )
-
-
-class _StreamingCycleRx:
-    """Persistent cycle-accurate receiver under a contract monitor."""
-
-    def __init__(self, config: P5Config, name: str, *, timeout: int) -> None:
-        self.rx = P5Receiver(config, name=name)
-        self.source = StreamSource(f"{name}.wire", self.rx.phy_in, [])
-        self.sim = Simulator([self.source] + self.rx.modules, self.rx.channels)
-        # Non-strict: findings are folded into health scores instead of
-        # aborting the soak mid-flight.
-        self.monitor = self.sim.enable_conformance(strict=False)
-        self.timeout = timeout
-        self._config = config
-        self._frame_cursor = 0
-        self._counts = self._snapshot()
-
-    def _snapshot(self) -> Dict[str, int]:
-        rx = self.rx
-        return {
-            "frames_ok": rx.crc.frames_ok,
-            "fcs_errors": rx.crc.fcs_errors,
-            "framing_faults": (
-                rx.delineator.aborts
-                + rx.delineator.oversize_drops
-                + rx.crc.runt_frames
-            ),
-            "hunt_octets": rx.delineator.octets_discarded_hunting,
-            "violations": len(self.monitor.findings()),
-        }
-
-    def feed(self, data: bytes) -> RxDelta:
-        if data:
-            self.source.extend(
-                beats_from_bytes(data, self._config.width_bytes, frame_marks=False)
-            )
-            self.sim.run_until(lambda: self.source.done, timeout=self.timeout)
-            self.sim.drain(idle_cycles=16, timeout=self.timeout)
-        before = self._counts
-        after = self._snapshot()
-        self._counts = after
-        frames = self.rx.frames[self._frame_cursor:]
-        self._frame_cursor = len(self.rx.frames)
-        return RxDelta(
-            frames=list(frames),
-            frames_ok=after["frames_ok"] - before["frames_ok"],
-            fcs_errors=after["fcs_errors"] - before["fcs_errors"],
-            framing_faults=after["framing_faults"] - before["framing_faults"],
-            hunt_octets=after["hunt_octets"] - before["hunt_octets"],
-            contract_violations=after["violations"] - before["violations"],
-            mode=GuardMode.QUARANTINED.value,
-        )
-
-
-def _cycle_tx_line(config: P5Config, contents: Sequence[bytes], timeout: int) -> bytes:
-    """One batch through the cycle transmitter; returns the wire bytes."""
-    system = P5System(config, name="guardtx")
-    captured = bytearray()
-
-    def tap(beat):
-        captured.extend(beat.payload())
-        return beat
-
-    wire = PhyWire(
-        "guardtx.wire", system.tx.phy_out, system.rx.phy_in, corrupt=tap
-    )
-    sim = Simulator(
-        system.tx.modules + [wire] + system.rx.modules, system.channels
-    )
-    for content in contents:
-        system.submit(content)
-    sim.run_until(
-        lambda: len(system.received()) >= len(contents) and system.idle(),
-        timeout=timeout,
-    )
-    sim.drain(timeout=timeout)
-    return bytes(captured)
 
 
 class FastpathGuard:
@@ -195,11 +94,13 @@ class FastpathGuard:
         self.spot_checks = 0
         self.quarantines: List[QuarantineRecord] = []
         self.reinstatements = 0
+        #: Timing-contract findings on the quarantine receiver so far.
+        self.contract_violations = 0
         self._encodes = 0
         self._clean_streak = 0
         self._sabotage_armed = False
         self._harness = DifferentialHarness(config, timeout=timeout)
-        self._cycle_rx: Optional[_StreamingCycleRx] = None
+        self._cycle_rx: Optional[Tuple[CycleReceiver, ContractMonitor]] = None
         self._pending_carry = b""
 
     # ------------------------------------------------------------------ chaos
@@ -285,7 +186,7 @@ class FastpathGuard:
     def _encode_quarantined(
         self, contents: Sequence[bytes], interval: int
     ) -> bytes:
-        line = _cycle_tx_line(self.config, list(contents), self.timeout)
+        _system, line = self._harness.cycle_loopback(list(contents))
         # Re-verification: once the fast engine agrees with the golden
         # line for reinstate_after consecutive intervals, trust it again.
         fast = self.engine.encode_frames(list(contents)).line
@@ -308,16 +209,20 @@ class FastpathGuard:
         return line
 
     # --------------------------------------------------------------------- RX
-    def decode(self, data: bytes, interval: int) -> RxDelta:
+    def decode(self, data: bytes, interval: int) -> FastpathRxResult:
         """Decode one interval's arriving bytes in the current mode."""
-        if self.mode is GuardMode.QUARANTINED:
-            if self._cycle_rx is None:
-                self._cycle_rx = _StreamingCycleRx(
-                    self.config, f"{self.name}.qrx", timeout=self.timeout
-                )
-            carry, self._pending_carry = self._pending_carry, b""
-            return self._cycle_rx.feed(carry + data)
-        return _fast_delta(self.engine.feed(data))
+        if self.mode is GuardMode.FAST:
+            return self.engine.feed(data)
+        if self._cycle_rx is None:
+            rx = CycleReceiver(self.config, f"{self.name}.qrx", timeout=self.timeout)
+            # Non-strict: findings are folded into health scores
+            # instead of aborting the soak mid-flight.
+            self._cycle_rx = (rx, rx.sim.enable_conformance(strict=False))
+        rx, monitor = self._cycle_rx
+        carry, self._pending_carry = self._pending_carry, b""
+        result = rx.feed(carry + data)
+        self.contract_violations = len(monitor.findings())
+        return result
 
     def resync(self) -> None:
         """Recovery-ladder rung: drop delineation state and re-hunt."""

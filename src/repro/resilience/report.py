@@ -10,9 +10,14 @@ log (which the CLI can also ship as a standalone artifact).
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
-from repro.resilience.supervisor import SoakResult
+from repro.resilience.supervisor import (
+    CHECK_EVERY,
+    FRAME_OCTETS,
+    REINSTATE_AFTER,
+    SoakResult,
+)
 
 __all__ = ["render_text", "render_json", "render_events_json", "JSON_SCHEMA_VERSION"]
 
@@ -85,14 +90,14 @@ def render_json(result: SoakResult) -> str:
         "config": {
             "intervals": cfg.intervals,
             "frames_per_interval": cfg.frames_per_interval,
-            "frame_octets": list(cfg.frame_octets),
+            "frame_octets": list(FRAME_OCTETS),
             "seed": cfg.seed,
             "width_bits": cfg.width_bits,
             "chaos_events": cfg.chaos_events,
             "hold_off": cfg.hold_off,
             "wait_to_restore": cfg.wait_to_restore,
-            "check_every": cfg.check_every,
-            "reinstate_after": cfg.reinstate_after,
+            "check_every": CHECK_EVERY,
+            "reinstate_after": REINSTATE_AFTER,
             "switchover_loss_budget": cfg.switchover_loss_budget,
         },
         "traffic": {

@@ -44,7 +44,8 @@ from repro.ppp.lqm import LinkQualityMonitor
 from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog
-from repro.resilience.guard import FastpathGuard, GuardMode, RxDelta
+from repro.fastpath.engine import FastpathRxResult
+from repro.resilience.guard import FastpathGuard, GuardMode
 from repro.resilience.health import HealthEngine, HealthSample, LaneState
 from repro.resilience.ladder import RecoveryLadder, RecoveryStep
 from repro.resilience.wire import LaneWire
@@ -65,6 +66,22 @@ FRAME_DATA = 0x44  # 'D'
 FRAME_LQR = 0x51   # 'Q'
 _HEADER_OCTETS = 5  # type + 32-bit sequence/interval number
 
+#: Fixed soak parameters (the component classes keep their own knobs).
+#: Data payload size range, in octets.
+FRAME_OCTETS: Tuple[int, int] = (24, 72)
+MAX_FRAME_OCTETS = 512
+#: Fastpath guard: spot-check cadence and clean intervals to reinstate.
+CHECK_EVERY = 8
+REINSTATE_AFTER = 3
+#: Health: consecutive good intervals before a lane counts as recovered.
+RECOVER_INTERVALS = 2
+#: Recovery ladder: attempts per rung and backoff ceiling (intervals).
+RETRIES_PER_STEP = 2
+BACKOFF_CAP = 8
+REVERTIVE = True
+#: Cycle-engine watchdog for the guard's golden runs, in cycles.
+TIMEOUT = 2_000_000
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -72,20 +89,11 @@ class SupervisorConfig:
 
     intervals: int = 640
     frames_per_interval: int = 16
-    frame_octets: Tuple[int, int] = (24, 72)
     seed: int = 1
     width_bits: int = 32
-    max_frame_octets: int = 512
     chaos_events: int = 24
     hold_off: int = 2
     wait_to_restore: int = 6
-    recover_intervals: int = 2
-    check_every: int = 8
-    reinstate_after: int = 3
-    retries_per_step: int = 2
-    backoff_cap: int = 8
-    revertive: bool = True
-    timeout: int = 2_000_000
     #: Raise :class:`LinkDownError` when the ladder quarantines a
     #: both-lanes-down link (otherwise it is only logged).
     raise_on_quarantine: bool = True
@@ -108,7 +116,7 @@ class SupervisorConfig:
     def p5(self) -> P5Config:
         return P5Config(
             width_bits=self.width_bits,
-            max_frame_octets=self.max_frame_octets,
+            max_frame_octets=MAX_FRAME_OCTETS,
         )
 
 
@@ -136,7 +144,9 @@ class LaneDelivery:
     lqr_seen: bool = False
     outbound_loss: float = 0.0
     inbound_loss: float = 0.0
-    delta: RxDelta = field(default_factory=RxDelta)
+    rx: FastpathRxResult = field(default_factory=FastpathRxResult)
+    #: Timing-contract findings the lane's cycle receiver raised.
+    contract_violations: int = 0
 
 
 class Lane:
@@ -152,14 +162,12 @@ class Lane:
         self.guard = FastpathGuard(
             cfg.p5(),
             name=name,
-            check_every=cfg.check_every,
-            reinstate_after=cfg.reinstate_after,
+            check_every=CHECK_EVERY,
+            reinstate_after=REINSTATE_AFTER,
             log=log,
-            timeout=cfg.timeout,
+            timeout=TIMEOUT,
         )
-        self.health = HealthEngine(
-            name, recover_intervals=cfg.recover_intervals
-        )
+        self.health = HealthEngine(name, recover_intervals=RECOVER_INTERVALS)
         magic = (seed * 2654435761) & 0xFFFFFFFF
         self.head_lqm = LinkQualityMonitor(magic=magic or 1)
         self.tail_lqm = LinkQualityMonitor(magic=(magic ^ 0x5A5A5A5A) or 2)
@@ -232,10 +240,14 @@ class Lane:
 
         line = self.guard.encode(contents, interval)
         arrived = self.wire.transmit(line, interval)
-        delta = self.guard.decode(arrived, interval)
+        violations = self.guard.contract_violations
+        rx = self.guard.decode(arrived, interval)
 
-        delivery = LaneDelivery(delta=delta)
-        for content, good in delta.frames:
+        delivery = LaneDelivery(
+            rx=rx,
+            contract_violations=self.guard.contract_violations - violations,
+        )
+        for content, good in rx.frames:
             if not good:
                 delivery.bad_frames += 1
                 self.tail_lqm.count_rx_error()
@@ -263,17 +275,17 @@ class Lane:
         return delivery
 
     def sample_from(self, delivery: LaneDelivery, expected: int) -> HealthSample:
-        delta = delivery.delta
+        rx = delivery.rx
         return HealthSample(
             expected_frames=expected,
-            delivered_ok=delta.frames_ok,
-            fcs_errors=delta.fcs_errors,
-            framing_faults=delta.framing_faults,
-            hunt_octets=delta.hunt_octets,
+            delivered_ok=rx.frames_ok,
+            fcs_errors=rx.fcs_errors,
+            framing_faults=rx.aborts + rx.oversize_drops + rx.runt_frames,
+            hunt_octets=rx.octets_discarded_hunting,
             lqr_seen=delivery.lqr_seen,
             outbound_loss=delivery.outbound_loss,
             inbound_loss=delivery.inbound_loss,
-            contract_violations=delta.contract_violations,
+            contract_violations=delivery.contract_violations,
         )
 
 
@@ -325,12 +337,12 @@ class LinkSupervisor:
         self.aps = ApsController(
             hold_off=self.cfg.hold_off,
             wait_to_restore=self.cfg.wait_to_restore,
-            revertive=self.cfg.revertive,
+            revertive=REVERTIVE,
             log=self.log,
         )
         self.ladder = RecoveryLadder(
-            retries_per_step=self.cfg.retries_per_step,
-            backoff_cap=self.cfg.backoff_cap,
+            retries_per_step=RETRIES_PER_STEP,
+            backoff_cap=BACKOFF_CAP,
             seed=[self.cfg.seed, 0x1ADD],
             log=self.log,
         )
@@ -373,7 +385,7 @@ class LinkSupervisor:
 
     # ---------------------------------------------------------------- traffic
     def _make_batch(self, interval: int) -> List[Tuple[int, bytes]]:
-        lo, hi = self.cfg.frame_octets
+        lo, hi = FRAME_OCTETS
         batch: List[Tuple[int, bytes]] = []
         for _ in range(self.cfg.frames_per_interval):
             n = int(self._rng.integers(lo, hi + 1))
@@ -546,7 +558,7 @@ class LinkSupervisor:
         working_cuts = [
             e for e in self.chaos if e.kind == "cut" and e.lane == WORKING
         ]
-        if cfg.revertive and working_cuts:
+        if REVERTIVE and working_cuts:
             if reversions < 1:
                 violations.append(SoakViolation(
                     "no-reversion",

@@ -31,7 +31,12 @@ flow through the shared lint reporters, so the ``repro sta`` CLI and
 CI handle them exactly like DRC output.
 """
 
-from repro.sta.analyzer import LatencyBudget, analyze_simulator, analyze_topology
+from repro.sta.analyzer import (
+    LatencyBudget,
+    analyze_simulator,
+    analyze_topology,
+    canonical_findings,
+)
 from repro.sta.claims import paper_budgets, sorter_fill_budget
 from repro.sta.conformance import ContractMonitor
 from repro.sta.flow import CycleCredit, channel_demands, cumulative_expansion, cycle_credits
@@ -42,7 +47,6 @@ from repro.sta.paths import (
     latency_between,
     path_latency,
 )
-from repro.sta.targets import canonical_findings
 
 __all__ = [
     "LatencyBudget",

@@ -17,7 +17,12 @@ from repro.rtl.module import Channel, Module
 from repro.sta.flow import channel_demands, cycle_credits
 from repro.sta.paths import cycles_to_ns, latency_between
 
-__all__ = ["LatencyBudget", "analyze_topology", "analyze_simulator"]
+__all__ = [
+    "LatencyBudget",
+    "analyze_topology",
+    "analyze_simulator",
+    "canonical_findings",
+]
 
 
 @dataclass(frozen=True)
@@ -190,3 +195,28 @@ def analyze_topology(
 def analyze_simulator(sim, **kwargs) -> List[Finding]:
     """Analyze a built :class:`~repro.rtl.simulator.Simulator`."""
     return analyze_topology(sim.modules, sim.channels, **kwargs)
+
+
+def canonical_findings(*, clock_hz: float = 78.125e6) -> List[Finding]:
+    """Analyze every shipped topology against its paper budgets.
+
+    The list is :func:`repro.lint.targets.shipped_topologies`, the one
+    ``repro lint`` checks too.  CI runs exactly this and fails on any
+    error-severity finding — so a restructure that slows a pipeline,
+    shrinks a buffer below its worst case, or starves a credit loop is
+    caught before a single cycle is simulated.
+    """
+    from repro.lint.targets import shipped_topologies
+
+    findings: List[Finding] = []
+    for topology in shipped_topologies():
+        findings.extend(
+            analyze_topology(
+                topology.modules,
+                topology.channels,
+                topology_name=topology.name,
+                budgets=topology.budgets,
+                clock_hz=clock_hz,
+            )
+        )
+    return findings

@@ -151,6 +151,26 @@ class TestClaimC2Static:
 
         assert canonical_findings() == []
 
+    def test_every_shipped_tx_and_rx_carries_its_budgets(self):
+        """``repro sta`` analyzes the list ``repro lint`` checks, with
+        the sorter-fill and TX budgets on every transmitter and the RX
+        budget on every receiver."""
+        from repro.lint.targets import shipped_topologies
+
+        pair = ["escape-generate-fill", "tx-end-to-end", "rx-end-to-end"]
+        budgets = {
+            t.name: [b.name for b in t.budgets] for t in shipped_topologies()
+        }
+        assert budgets == {
+            "duplex/32-bit": pair * 2,
+            "duplex/8-bit": pair * 2,
+            "tx-standalone": pair[:2],
+            "rx-standalone": pair[2:],
+            "escape-trace": [],
+            "fault-harness": pair,
+            "resilience-dual-lane": pair * 2,
+        }
+
 
 class TestEndToEndRateScaling:
     """The whole-system consequence of C1: wall-clock cycles scale

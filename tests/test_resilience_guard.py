@@ -80,7 +80,7 @@ class TestQuarantine:
         assert guard.mode is GuardMode.QUARANTINED
         batch = frames(rng, count=3)
         delta = pump(guard, batch, 1)
-        assert delta.mode == GuardMode.QUARANTINED.value
+        assert guard.mode is GuardMode.QUARANTINED
         assert [f for f, good in delta.frames if good] == batch
 
     def test_reinstatement_after_clean_agreement_streak(self, config, rng):

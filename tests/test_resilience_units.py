@@ -320,6 +320,37 @@ class TestChaosSchedule:
             assert event.interval >= 6
             assert event.end < 300 - reserve
 
+    def test_mandatory_sabotage_lands_where_traffic_is(self):
+        """Regression: the working-lane sabotage must not sit inside a
+        cut's guard window or just after a working-lane storm/burst —
+        there traffic runs on protect, the quarantine lands on the
+        standby lane and the soak misses fastpath degradation."""
+        hold_off, wait_to_restore = 2, 6
+        guard = hold_off + wait_to_restore
+        reserve = guard + 8
+        for seed in range(1, 301):
+            schedule = chaos_schedule(intervals=640, events=24, seed=seed,
+                                      hold_off=hold_off,
+                                      wait_to_restore=wait_to_restore)
+            cut_windows = [(e.interval - guard, e.end + guard)
+                           for e in schedule if e.kind == "cut"]
+            others = [e for e in schedule
+                      if e.lane == WORKING and e.kind != "sabotage"]
+
+            def lands_on_traffic(at):
+                return (
+                    6 <= at < 640 - reserve
+                    and not any(lo <= at <= hi for lo, hi in cut_windows)
+                    and not any(e.interval <= at + 1
+                                and e.end >= at - 2 * guard
+                                for e in others)
+                )
+
+            assert any(
+                lands_on_traffic(e.interval) for e in schedule
+                if e.kind == "sabotage" and e.lane == WORKING
+            ), f"seed {seed}: no working-lane sabotage on quiet traffic"
+
     def test_too_short_soak_is_rejected(self):
         with pytest.raises(ValueError):
             chaos_schedule(intervals=40, events=5, seed=1)
@@ -332,16 +363,17 @@ class TestDualLaneTopology:
         from repro.lint.graph import lint_topology
         from repro.lint.targets import shipped_topologies
 
-        triples = {name: (mods, chans)
-                   for name, mods, chans in shipped_topologies()}
-        assert "resilience-dual-lane" in triples
-        modules, channels = triples["resilience-dual-lane"]
+        topologies = {t.name: t for t in shipped_topologies()}
+        assert "resilience-dual-lane" in topologies
+        dual = topologies["resilience-dual-lane"]
         # Two full lanes: strictly more hardware than one fault harness.
-        assert len(list(modules)) > len(list(triples["fault-harness"][0]))
-        assert lint_topology(modules, channels) == []
+        assert len(list(dual.modules)) > len(
+            list(topologies["fault-harness"].modules)
+        )
+        assert lint_topology(dual.modules, dual.channels) == []
 
     def test_sta_canonical_findings_stay_clean(self):
-        from repro.sta.targets import canonical_findings
+        from repro.sta import canonical_findings
 
         assert canonical_findings() == []
 
