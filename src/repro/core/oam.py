@@ -17,14 +17,23 @@ programmability of the P5.  This model exposes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.core.regmap import Register, RegisterMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.p5 import P5System
 
-__all__ = ["ProtocolOam", "IRQ_RX_FRAME", "IRQ_RX_ERROR", "IRQ_TX_DONE"]
+__all__ = [
+    "ProtocolOam",
+    "COUNTERS",
+    "COUNTER_READERS",
+    "IRQ_RX_FRAME",
+    "IRQ_RX_ERROR",
+    "IRQ_TX_DONE",
+]
 
 # Interrupt bits.
 IRQ_RX_FRAME = 1 << 0    # a good frame landed in receive memory
@@ -53,6 +62,31 @@ ADDR_FRAMING = 0x04            # [15:8] escape octet, [7:0] flag octet
 
 CTRL_TX_ENABLE = 1 << 0
 CTRL_RX_ENABLE = 1 << 1
+
+#: The one map from OAM counter register to datapath counter: each
+#: read-only register's address and the attribute path, on a
+#: :class:`~repro.core.p5.P5System`, of the counter it reads.
+COUNTERS: Dict[str, Tuple[int, str]] = {
+    "TX_FRAMES": (ADDR_TX_FRAMES, "tx.flags.frames_wrapped"),
+    "RX_FRAMES_OK": (ADDR_RX_FRAMES_OK, "rx.crc.frames_ok"),
+    "RX_FCS_ERRORS": (ADDR_RX_FCS_ERRORS, "rx.crc.fcs_errors"),
+    "RX_RUNTS": (ADDR_RX_RUNTS, "rx.crc.runt_frames"),
+    "RX_HUNT_DISCARDS": (ADDR_RX_HUNT_DISCARDS, "rx.delineator.octets_discarded_hunting"),
+    "ESC_INSERTED": (ADDR_ESC_INSERTED, "tx.escape.octets_escaped"),
+    "ESC_DELETED": (ADDR_ESC_DELETED, "rx.escape.octets_deleted"),
+    "RESYNC_HIGHWATER_TX": (ADDR_RESYNC_HIGHWATER_TX, "tx.escape.max_resync_occupancy"),
+    "RESYNC_HIGHWATER_RX": (ADDR_RESYNC_HIGHWATER_RX, "rx.escape.max_resync_occupancy"),
+    "DANGLING_ESCAPES": (ADDR_DANGLING_ESCAPES, "rx.escape.dangling_escape_errors"),
+    "RX_ABORTS": (ADDR_RX_ABORTS, "rx.delineator.aborts"),
+    "RX_OVERSIZE": (ADDR_RX_OVERSIZE, "rx.delineator.oversize_drops"),
+    "RESYNC_DROPS_RX": (ADDR_RESYNC_DROPS_RX, "rx.escape.resync_overflow_drops"),
+}
+
+#: ``COUNTER_READERS[name](system)`` reads register ``name``'s counter
+#: straight from the datapath; built once, shared by every system.
+COUNTER_READERS: Dict[str, Callable[["P5System"], int]] = {
+    name: attrgetter(path) for name, (_, path) in COUNTERS.items()
+}
 
 
 class ProtocolOam:
@@ -107,47 +141,10 @@ class ProtocolOam:
             )
         )
 
-        counters = [
-            ("TX_FRAMES", ADDR_TX_FRAMES, lambda: sys.tx.flags.frames_wrapped),
-            ("RX_FRAMES_OK", ADDR_RX_FRAMES_OK, lambda: sys.rx.crc.frames_ok),
-            ("RX_FCS_ERRORS", ADDR_RX_FCS_ERRORS, lambda: sys.rx.crc.fcs_errors),
-            ("RX_RUNTS", ADDR_RX_RUNTS, lambda: sys.rx.crc.runt_frames),
-            (
-                "RX_HUNT_DISCARDS",
-                ADDR_RX_HUNT_DISCARDS,
-                lambda: sys.rx.delineator.octets_discarded_hunting,
-            ),
-            ("ESC_INSERTED", ADDR_ESC_INSERTED, lambda: sys.tx.escape.octets_escaped),
-            ("ESC_DELETED", ADDR_ESC_DELETED, lambda: sys.rx.escape.octets_deleted),
-            (
-                "RESYNC_HIGHWATER_TX",
-                ADDR_RESYNC_HIGHWATER_TX,
-                lambda: sys.tx.escape.max_resync_occupancy,
-            ),
-            (
-                "RESYNC_HIGHWATER_RX",
-                ADDR_RESYNC_HIGHWATER_RX,
-                lambda: sys.rx.escape.max_resync_occupancy,
-            ),
-            (
-                "DANGLING_ESCAPES",
-                ADDR_DANGLING_ESCAPES,
-                lambda: sys.rx.escape.dangling_escape_errors,
-            ),
-            ("RX_ABORTS", ADDR_RX_ABORTS, lambda: sys.rx.delineator.aborts),
-            (
-                "RX_OVERSIZE",
-                ADDR_RX_OVERSIZE,
-                lambda: sys.rx.delineator.oversize_drops,
-            ),
-            (
-                "RESYNC_DROPS_RX",
-                ADDR_RESYNC_DROPS_RX,
-                lambda: sys.rx.escape.resync_overflow_drops,
-            ),
-        ]
-        for name, addr, provider in counters:
-            self.regs.add(Register(name, addr, access="ro", on_read=provider))
+        for name, (addr, _) in COUNTERS.items():
+            self.regs.add(Register(
+                name, addr, access="ro", on_read=partial(COUNTER_READERS[name], sys)
+            ))
 
     def _write_ctrl(self, value: int) -> None:
         self.system.tx.source.enabled = bool(value & CTRL_TX_ENABLE)

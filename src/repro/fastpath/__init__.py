@@ -23,7 +23,6 @@ from repro.fastpath.engine import (
     FastpathRxResult,
     FastpathTxResult,
 )
-from repro.fastpath.sonet import SonetFastpath
 
 __all__ = [
     "FastpathEngine",
@@ -31,5 +30,4 @@ __all__ = [
     "FastpathRxResult",
     "DifferentialHarness",
     "DifferentialReport",
-    "SonetFastpath",
 ]

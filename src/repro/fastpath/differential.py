@@ -12,8 +12,9 @@ observable the two share:
   wrapped and escapes inserted on TX, and on RX the :data:`RX_COUNTERS`
   table (frames ok, FCS errors, runts, aborts, oversize cuts, hunt
   discards, escapes deleted and empty inter-frame bodies), which maps
-  each OAM register name to its :class:`FastpathRxResult` field and
-  its :class:`~repro.core.rx.P5Receiver` counter.
+  each OAM register name to its :class:`FastpathRxResult` field.  The
+  cycle side reads every register through
+  :data:`~repro.core.oam.COUNTERS`, the OAM block's own map.
 
 The cycle side reports in the fastpath's own
 :class:`~repro.fastpath.engine.FastpathRxResult`, so one record type
@@ -38,10 +39,10 @@ what ``run_rx`` asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import P5Config
+from repro.core.oam import COUNTER_READERS
 from repro.core.p5 import P5System, build_loopback
 from repro.core.rx import P5Receiver
 from repro.fastpath.engine import FastpathEngine, FastpathRxResult
@@ -56,21 +57,17 @@ __all__ = [
 ]
 
 #: The RX counter set both engines keep, keyed by OAM register name
-#: (:mod:`repro.core.oam`; ``EMPTY_BODIES`` has no register): the
-#: :class:`FastpathRxResult` field and the :class:`P5Receiver` counter
-#: behind it.
-RX_COUNTERS: Dict[str, Tuple[str, Callable[[P5Receiver], int]]] = {
-    "RX_FRAMES_OK": ("frames_ok", attrgetter("crc.frames_ok")),
-    "RX_FCS_ERRORS": ("fcs_errors", attrgetter("crc.fcs_errors")),
-    "RX_RUNTS": ("runt_frames", attrgetter("crc.runt_frames")),
-    "RX_ABORTS": ("aborts", attrgetter("delineator.aborts")),
-    "RX_OVERSIZE": ("oversize_drops", attrgetter("delineator.oversize_drops")),
-    "RX_HUNT_DISCARDS": (
-        "octets_discarded_hunting",
-        attrgetter("delineator.octets_discarded_hunting"),
-    ),
-    "ESC_DELETED": ("octets_deleted", attrgetter("escape.octets_deleted")),
-    "EMPTY_BODIES": ("empty_bodies", attrgetter("delineator.empty_bodies")),
+#: (:data:`~repro.core.oam.COUNTERS`; ``EMPTY_BODIES`` has no
+#: register): the :class:`FastpathRxResult` field that carries it.
+RX_COUNTERS: Dict[str, str] = {
+    "RX_FRAMES_OK": "frames_ok",
+    "RX_FCS_ERRORS": "fcs_errors",
+    "RX_RUNTS": "runt_frames",
+    "RX_ABORTS": "aborts",
+    "RX_OVERSIZE": "oversize_drops",
+    "RX_HUNT_DISCARDS": "octets_discarded_hunting",
+    "ESC_DELETED": "octets_deleted",
+    "EMPTY_BODIES": "empty_bodies",
 }
 
 #: The counters an aborted frame moves the same way on both engines
@@ -80,9 +77,19 @@ _ABORT_INVARIANT = (
 )
 
 
-def _rx_counts(rx: P5Receiver) -> Dict[str, int]:
-    """A cycle receiver's counters, by :class:`FastpathRxResult` field."""
-    return {name: read(rx) for name, read in RX_COUNTERS.values()}
+def _rx_counts(cycle: Union[P5System, "CycleReceiver"]) -> Dict[str, int]:
+    """The counters of ``cycle.rx``, by :class:`FastpathRxResult` field.
+
+    ``cycle`` holds its receiver as ``rx``, like a :class:`P5System`,
+    so the OAM block's ``rx.*`` readers apply to it unchanged.
+    """
+    counts = {
+        name: COUNTER_READERS[register](cycle)
+        for register, name in RX_COUNTERS.items()
+        if register != "EMPTY_BODIES"
+    }
+    counts["empty_bodies"] = cycle.rx.delineator.empty_bodies
+    return counts
 
 
 class CycleReceiver:
@@ -102,7 +109,7 @@ class CycleReceiver:
         self.timeout = timeout
         self._width_bytes = config.width_bytes
         self._frame_cursor = 0
-        self._counts = _rx_counts(self.rx)
+        self._counts = _rx_counts(self)
 
     def feed(self, data: bytes) -> FastpathRxResult:
         if data:
@@ -111,7 +118,7 @@ class CycleReceiver:
             )
             self.sim.run_until(lambda: self.source.done, timeout=self.timeout)
             self.sim.drain(idle_cycles=16, timeout=self.timeout)
-        before, after = self._counts, _rx_counts(self.rx)
+        before, after = self._counts, _rx_counts(self)
         self._counts = after
         frames = self.rx.frames[self._frame_cursor:]
         self._frame_cursor = len(self.rx.frames)
@@ -152,7 +159,7 @@ class DifferentialReport:
         registers: Sequence[str] = tuple(RX_COUNTERS),
     ) -> None:
         for register in registers:
-            name = RX_COUNTERS[register][0]
+            name = RX_COUNTERS[register]
             self.compare(register, getattr(cycle, name), getattr(fast, name))
 
 
@@ -213,11 +220,11 @@ class DifferentialHarness:
                 f"received frames differ: cycle {len(system.rx.frames)} vs "
                 f"fastpath {len(rx_fast.frames)}"
             )
-        report.compare("TX_FRAMES", system.tx.flags.frames_wrapped, tx_fast.frames)
+        report.compare("TX_FRAMES", COUNTER_READERS["TX_FRAMES"](system), tx_fast.frames)
         report.compare(
-            "ESC_INSERTED", system.tx.escape.octets_escaped, tx_fast.octets_escaped
+            "ESC_INSERTED", COUNTER_READERS["ESC_INSERTED"](system), tx_fast.octets_escaped
         )
-        report.compare_rx(FastpathRxResult(**_rx_counts(system.rx)), rx_fast)
+        report.compare_rx(FastpathRxResult(**_rx_counts(system)), rx_fast)
         return report
 
     def run_rx(self, line: bytes) -> DifferentialReport:

@@ -58,11 +58,9 @@ class FastpathRxResult:
     """One decoded stream: frames with verdicts plus RX-side counters.
 
     The counters carry the same meaning as the cycle model's OAM
-    registers (:mod:`repro.core.oam`): ``frames_ok`` / ``fcs_errors`` /
-    ``runt_frames`` mirror ``CrcCheck``, ``aborts`` / ``oversize_drops``
-    / ``empty_bodies`` / ``octets_discarded_hunting`` mirror
-    ``WordDelineator``, and ``octets_deleted`` mirrors the Escape
-    Detect unit.
+    counter registers; :data:`repro.fastpath.differential.RX_COUNTERS`
+    names the register of each field, and
+    :data:`repro.core.oam.COUNTERS` the datapath counter behind it.
     """
 
     frames: List[Tuple[bytes, bool]] = field(default_factory=list)

@@ -24,20 +24,11 @@ from typing import Dict, List, Optional
 
 from repro.core.oam import (
     ADDR_CTRL,
-    ADDR_DANGLING_ESCAPES,
-    ADDR_ESC_DELETED,
-    ADDR_ESC_INSERTED,
     ADDR_FRAMING,
     ADDR_IRQ_MASK,
     ADDR_IRQ_PENDING,
-    ADDR_RESYNC_DROPS_RX,
-    ADDR_RX_ABORTS,
-    ADDR_RX_FCS_ERRORS,
-    ADDR_RX_FRAMES_OK,
-    ADDR_RX_OVERSIZE,
-    ADDR_RX_RUNTS,
     ADDR_STATION_ADDRESS,
-    ADDR_TX_FRAMES,
+    COUNTERS,
     CTRL_RX_ENABLE,
     CTRL_TX_ENABLE,
     ProtocolOam,
@@ -302,18 +293,7 @@ class OamRegisterUpset:
                "framing", "counter")
 
     #: Every read-only counter register (upset writes must bounce off).
-    COUNTER_ADDRS = (
-        ADDR_TX_FRAMES,
-        ADDR_RX_FRAMES_OK,
-        ADDR_RX_FCS_ERRORS,
-        ADDR_RX_RUNTS,
-        ADDR_ESC_INSERTED,
-        ADDR_ESC_DELETED,
-        ADDR_DANGLING_ESCAPES,
-        ADDR_RX_ABORTS,
-        ADDR_RX_OVERSIZE,
-        ADDR_RESYNC_DROPS_RX,
-    )
+    COUNTER_ADDRS = tuple(addr for addr, _ in COUNTERS.values())
 
     def __init__(self, oam: ProtocolOam, seed: SeedLike = None) -> None:
         self.oam = oam

@@ -25,7 +25,8 @@ clean loopback exchange and then checks:
     not bad luck.
 ``oam-reconcile``
     The OAM registers agree exactly with the datapath ground truth:
-    register reads match module counters (so upset writes bounced off
+    every read-only counter register reads the module counter
+    :data:`~repro.core.oam.COUNTERS` names (so upset writes bounced off
     the read-only map), the per-stage frame counts obey the pipeline's
     conservation law, and damaged frames left a trace in some error
     counter.
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.oam import COUNTER_READERS
 from repro.core.p5 import P5System
 from repro.faults.injectors import BeatFaultInjector
 
@@ -99,23 +101,6 @@ def match_frames(
     return matched, spurious
 
 
-def _oam_register_pairs(system: P5System) -> List[Tuple[str, int]]:
-    """(register name, ground-truth counter) for every RO counter."""
-    return [
-        ("TX_FRAMES", system.tx.flags.frames_wrapped),
-        ("RX_FRAMES_OK", system.rx.crc.frames_ok),
-        ("RX_FCS_ERRORS", system.rx.crc.fcs_errors),
-        ("RX_RUNTS", system.rx.crc.runt_frames),
-        ("RX_HUNT_DISCARDS", system.rx.delineator.octets_discarded_hunting),
-        ("ESC_INSERTED", system.tx.escape.octets_escaped),
-        ("ESC_DELETED", system.rx.escape.octets_deleted),
-        ("DANGLING_ESCAPES", system.rx.escape.dangling_escape_errors),
-        ("RX_ABORTS", system.rx.delineator.aborts),
-        ("RX_OVERSIZE", system.rx.delineator.oversize_drops),
-        ("RESYNC_DROPS_RX", system.rx.escape.resync_overflow_drops),
-    ]
-
-
 def check_trial(
     *,
     trial: int,
@@ -172,8 +157,8 @@ def check_trial(
 
 def _check_oam(violation, system: P5System, submitted, damaged) -> List[Violation]:
     out: List[Violation] = []
-    for name, truth in _oam_register_pairs(system):
-        readback = system.oam.regs.read_name(name)
+    for name, read in COUNTER_READERS.items():
+        readback, truth = system.oam.regs.read_name(name), read(system)
         if readback != truth:
             out.append(violation(
                 "oam-reconcile",

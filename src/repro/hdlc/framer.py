@@ -17,7 +17,6 @@ from repro.errors import FcsError, FramingError, OversizeFrameError, RuntFrameEr
 from repro.hdlc.accm import Accm
 from repro.hdlc.byte_stuffing import stuff, unstuff
 from repro.hdlc.constants import FLAG_OCTET
-from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["HdlcFramer", "DecodedFrame"]
 
@@ -59,21 +58,7 @@ class HdlcFramer:
         :class:`~repro.errors.OversizeFrameError`.  PPP's default MRU
         is 1500 information octets; the extra headroom covers
         address/control/protocol.
-
-    The class-level :data:`TIMING_CONTRACT` is the behavioural
-    counterpart of the datapath modules' ``timing_contract()``: it
-    states the worst-case flow ratio (stuffing can double the body)
-    and the per-frame overhead (two flags plus the widest FCS) that
-    the :mod:`repro.sta` flow solver assumes of any HDLC encoder.
     """
-
-    #: Whole-frame model: zero pipeline depth, but the same worst-case
-    #: expansion the cycle-accurate escape-generate unit declares.
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=2.0, per_frame_octets=2 + 4),),
-    )
 
     def __init__(
         self,

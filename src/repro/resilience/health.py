@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ConfigError
+from repro.fastpath.engine import FastpathRxResult
 
 __all__ = ["LaneState", "HealthSample", "HealthEngine"]
 
@@ -43,13 +44,9 @@ class HealthSample:
     #: Frames the head end bridged onto the lane this interval
     #: (data + control; what *should* have arrived).
     expected_frames: int
-    #: FCS-good frames the lane's tail actually produced.
-    delivered_ok: int
-    fcs_errors: int = 0
-    #: Delineation damage: aborts + oversize cuts + runts this interval.
-    framing_faults: int = 0
-    #: Octets discarded while hunting for a flag (resync churn).
-    hunt_octets: int = 0
+    #: What the lane's tail decoded this interval: FCS-good frames,
+    #: FCS errors, delineation damage and hunt discards.
+    rx: FastpathRxResult
     #: Whether the LQR exchange completed this interval.
     lqr_seen: bool = True
     #: Loss fractions from the lane's LQR verdict (0.0 when clean).
@@ -109,8 +106,9 @@ class HealthEngine:
     # ----------------------------------------------------------------- scoring
     def score_sample(self, sample: HealthSample) -> float:
         """One interval's score: delivery ratio minus symptom penalties."""
+        rx = sample.rx
         if sample.expected_frames > 0:
-            base = min(1.0, sample.delivered_ok / sample.expected_frames)
+            base = min(1.0, rx.frames_ok / sample.expected_frames)
         else:
             # Idle interval: judge only by symptoms.
             base = 1.0
@@ -118,9 +116,9 @@ class HealthEngine:
         penalty += 0.5 * max(sample.outbound_loss, sample.inbound_loss)
         if not sample.lqr_seen:
             penalty += 0.25
-        penalty += min(0.3, 0.05 * sample.framing_faults)
-        penalty += min(0.2, 0.05 * sample.fcs_errors)
-        if sample.hunt_octets:
+        penalty += min(0.3, 0.05 * (rx.aborts + rx.oversize_drops + rx.runt_frames))
+        penalty += min(0.2, 0.05 * rx.fcs_errors)
+        if rx.octets_discarded_hunting:
             penalty += 0.05
         if sample.contract_violations:
             penalty += 0.4

@@ -275,13 +275,9 @@ class Lane:
         return delivery
 
     def sample_from(self, delivery: LaneDelivery, expected: int) -> HealthSample:
-        rx = delivery.rx
         return HealthSample(
             expected_frames=expected,
-            delivered_ok=rx.frames_ok,
-            fcs_errors=rx.fcs_errors,
-            framing_faults=rx.aborts + rx.oversize_drops + rx.runt_frames,
-            hunt_octets=rx.octets_discarded_hunting,
+            rx=delivery.rx,
             lqr_seen=delivery.lqr_seen,
             outbound_loss=delivery.outbound_loss,
             inbound_loss=delivery.inbound_loss,

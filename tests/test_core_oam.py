@@ -1,5 +1,7 @@
 """Unit tests for the Protocol OAM block and the register map."""
 
+from functools import reduce
+
 import pytest
 
 from repro.core.config import P5Config
@@ -12,15 +14,36 @@ from repro.core.oam import (
     ADDR_RX_FRAMES_OK,
     ADDR_STATION_ADDRESS,
     ADDR_TX_FRAMES,
+    COUNTERS,
     CTRL_RX_ENABLE,
     CTRL_TX_ENABLE,
     IRQ_RX_ERROR,
     IRQ_RX_FRAME,
     IRQ_TX_DONE,
 )
-from repro.core.p5 import P5System, run_duplex_exchange
+from repro.core.p5 import P5System, build_duplex, run_duplex_exchange
 from repro.core.regmap import Register, RegisterMap
 from repro.errors import ConfigError
+from repro.phy.line import make_beat_corruptor
+from repro.workloads.packets import ppp_frame_contents
+
+#: The counter register map written out independently of
+#: ``repro.core.oam``: name -> (address, counter attribute on a P5System).
+EXPECTED_COUNTERS = {
+    "TX_FRAMES": (0x10, "tx.flags.frames_wrapped"),
+    "RX_FRAMES_OK": (0x11, "rx.crc.frames_ok"),
+    "RX_FCS_ERRORS": (0x12, "rx.crc.fcs_errors"),
+    "RX_RUNTS": (0x13, "rx.crc.runt_frames"),
+    "RX_HUNT_DISCARDS": (0x14, "rx.delineator.octets_discarded_hunting"),
+    "ESC_INSERTED": (0x15, "tx.escape.octets_escaped"),
+    "ESC_DELETED": (0x16, "rx.escape.octets_deleted"),
+    "RESYNC_HIGHWATER_TX": (0x17, "tx.escape.max_resync_occupancy"),
+    "RESYNC_HIGHWATER_RX": (0x18, "rx.escape.max_resync_occupancy"),
+    "DANGLING_ESCAPES": (0x19, "rx.escape.dangling_escape_errors"),
+    "RX_ABORTS": (0x1A, "rx.delineator.aborts"),
+    "RX_OVERSIZE": (0x1B, "rx.delineator.oversize_drops"),
+    "RESYNC_DROPS_RX": (0x1C, "rx.escape.resync_overflow_drops"),
+}
 
 
 class TestRegisterMap:
@@ -148,3 +171,29 @@ class TestProtocolOam:
         result = run_duplex_exchange([content], [], timeout=50_000)
         hw = result.a.oam.regs.read_name("RESYNC_HIGHWATER_TX")
         assert 1 <= hw <= 3
+
+
+class TestCounterMap:
+    def test_counter_table_matches_the_register_map(self):
+        assert COUNTERS == EXPECTED_COUNTERS
+
+    def test_every_counter_register_reads_its_datapath_counter(self):
+        """Across a duplex exchange over a damaged a->b line, each
+        counter register reads the module attribute it names."""
+        frames = [b"\x7e\x7d" * 8] + ppp_frame_contents(20, seed=5)
+        corrupt = make_beat_corruptor(ber=2e-4, seed=9)
+        a, b, sim = build_duplex(P5Config.thirty_two_bit(), corrupt_ab=corrupt)
+        for frame in frames:
+            a.submit(frame)
+            b.submit(frame)
+        sim.run_until(
+            lambda: not a.tx.busy and not b.tx.busy and a.idle() and b.idle(),
+            timeout=500_000,
+        )
+        for system in (a, b):
+            for name, (address, attribute) in EXPECTED_COUNTERS.items():
+                truth = reduce(getattr, attribute.split("."), system)
+                assert system.oam.read(address) == truth, (system.name, name)
+        assert b.oam.read(ADDR_RX_FCS_ERRORS) > 0
+        assert b.oam.read(ADDR_IRQ_PENDING) & IRQ_RX_ERROR
+        assert a.oam.read(ADDR_ESC_INSERTED) > 0

@@ -1,10 +1,10 @@
-"""The frame-level fastpath engine: TX/RX kernels, SONET path."""
+"""The frame-level fastpath engine: TX/RX kernels."""
 
 import pytest
 
 from repro.core.config import P5Config
 from repro.crc import CRC16_X25
-from repro.fastpath import DifferentialHarness, FastpathEngine, SonetFastpath
+from repro.fastpath import DifferentialHarness, FastpathEngine
 from repro.hdlc import Accm, HdlcFramer, stuff, unstuff
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 from repro.workloads.packets import ppp_frame_contents
@@ -137,12 +137,4 @@ def test_destuff_chained_escapes_match_unstuff():
     assert unstuff(raw, strict=False) == bytes([ESC_OCTET ^ 0x20])
     line = bytes([FLAG_OCTET]) + raw + b"\x41" + bytes([FLAG_OCTET])
     assert FastpathEngine().decode_stream(line).octets_deleted == 1
-
-
-def test_sonet_fastpath_roundtrip():
-    path = SonetFastpath(n=12)
-    contents = ppp_frame_contents(10, seed=1)
-    result = path.roundtrip(contents)
-    assert result.recovered == contents
-    assert result.rx.fcs_errors == 0
 

@@ -182,9 +182,13 @@ class TestOamRegisterUpset:
 
     def test_counter_writes_bounce_off_readonly_map(self):
         system, upset = self.make()
+        # Every counter register, 0x10..0x1C, is an upset target.
+        assert sorted(OamRegisterUpset.COUNTER_ADDRS) == list(range(0x10, 0x1D))
         before = {a: system.oam.read(a) for a in OamRegisterUpset.COUNTER_ADDRS}
         for _ in range(20):
             upset.inject(target="counter")
+        for address in OamRegisterUpset.COUNTER_ADDRS:
+            system.oam.write(address, 0xFFFF)
         after = {a: system.oam.read(a) for a in OamRegisterUpset.COUNTER_ADDRS}
         assert before == after
 

@@ -105,12 +105,9 @@ def test_stuffing_never_exceeds_declared_max_expansion(data):
 
 def test_adversarial_payloads_reach_but_never_break_the_bound():
     """All-flag and all-escape payloads are the exact worst case the
-    contract (and the framer's class-level declaration) must cover."""
-    from repro.hdlc.framer import HdlcFramer as _Framer
-
+    escape-generate unit's contract must cover."""
     bound = _declared_stuffing_expansion()
-    (framer_timing,) = _Framer.TIMING_CONTRACT.outputs
-    assert framer_timing.max_expansion == bound == 2.0
+    assert bound == 2.0
     for octet in (FLAG_OCTET, ESC_OCTET):
         payload = bytes([octet]) * 256
         assert len(stuff(payload)) == int(bound * len(payload))

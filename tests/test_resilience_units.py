@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.fastpath import FastpathRxResult
 from repro.resilience import (
     PROTECT,
     WORKING,
@@ -21,13 +22,11 @@ from repro.sonet.aps import ApsRequest
 
 
 def clean(expected=17):
-    return HealthSample(expected_frames=expected, delivered_ok=expected)
+    return HealthSample(expected, FastpathRxResult(frames_ok=expected))
 
 
 def dark(expected=17):
-    return HealthSample(
-        expected_frames=expected, delivered_ok=0, lqr_seen=False
-    )
+    return HealthSample(expected, FastpathRxResult(), lqr_seen=False)
 
 
 class TestHealthEngine:
@@ -45,15 +44,17 @@ class TestHealthEngine:
     def test_single_fcs_error_is_tolerated(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            expected_frames=17, delivered_ok=16, fcs_errors=1,
+            17, FastpathRxResult(frames_ok=16, fcs_errors=1),
         ))
         assert state is LaneState.OK
 
     def test_errored_interval_degrades_not_fails(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            expected_frames=17, delivered_ok=15, fcs_errors=2,
-            framing_faults=2, hunt_octets=12,
+            17, FastpathRxResult(
+                frames_ok=15, fcs_errors=2, aborts=1, runt_frames=1,
+                octets_discarded_hunting=12,
+            ),
         ))
         assert state is LaneState.DEGRADED
         assert engine.usable
@@ -83,14 +84,14 @@ class TestHealthEngine:
     def test_lqr_silence_and_loss_are_symptoms(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            expected_frames=17, delivered_ok=17,
+            17, FastpathRxResult(frames_ok=17),
             lqr_seen=False, outbound_loss=0.5,
         ))
         assert state is LaneState.DEGRADED
 
     def test_idle_interval_judged_by_symptoms_only(self):
         engine = HealthEngine("working")
-        assert engine.update(HealthSample(0, 0)) is LaneState.OK
+        assert engine.update(HealthSample(0, FastpathRxResult())) is LaneState.OK
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):
