@@ -14,7 +14,6 @@ hardware holds in its stage-1 register.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Tuple
 
 from repro.core.sorter import ByteSorter
@@ -39,9 +38,7 @@ def contract_word(
     """
     out = bytearray()
     deleted = 0
-    for byte, ok in zip(beat.lanes, beat.valid):
-        if not ok:
-            continue
+    for byte in beat.payload():
         if pending_xor:
             out.append(byte ^ ESCAPE_XOR)
             pending_xor = False
@@ -96,9 +93,11 @@ class EscapeDetector:
             if tail is not None:
                 out.append(WordBeat.from_bytes(tail, self.width_bytes, eof=True))
             elif out:
-                out[-1] = replace(out[-1], eof=True)
+                last = out[-1]
+                out[-1] = WordBeat(last.lanes, last.valid, sof=last.sof, eof=True)
         if frame_start and out:
-            out[0] = replace(out[0], sof=True)
+            first = out[0]
+            out[0] = WordBeat(first.lanes, first.valid, sof=True, eof=first.eof)
         return out
 
     def process_frame(self, data: bytes) -> List[WordBeat]:

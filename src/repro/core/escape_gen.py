@@ -14,7 +14,6 @@ lives in :mod:`repro.core.escape_pipeline`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import FrozenSet, List
 
 from repro.core.sorter import ByteSorter
@@ -39,9 +38,7 @@ def expand_word(
     to 5+ bytes here.
     """
     out = bytearray()
-    for byte, ok in zip(beat.lanes, beat.valid):
-        if not ok:
-            continue
+    for byte in beat.payload():
         if byte in escapes:
             out.append(esc_octet)
             out.append(byte ^ ESCAPE_XOR)
@@ -87,9 +84,11 @@ class EscapeGenerator:
             if tail is not None:
                 out.append(WordBeat.from_bytes(tail, self.width_bytes, eof=True))
             elif out:
-                out[-1] = replace(out[-1], eof=True)
+                last = out[-1]
+                out[-1] = WordBeat(last.lanes, last.valid, sof=last.sof, eof=True)
         if frame_start and out:
-            out[0] = replace(out[0], sof=True)
+            first = out[0]
+            out[0] = WordBeat(first.lanes, first.valid, sof=True, eof=first.eof)
         return out
 
     def process_frame(self, data: bytes) -> List[WordBeat]:

@@ -34,7 +34,6 @@ doubles the stream and the unit *must* halve its intake rate).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, FrozenSet, List, Optional
 
 from repro.core.escape_det import contract_word
@@ -48,13 +47,15 @@ __all__ = ["PipelinedEscapeGenerate", "PipelinedEscapeDetect"]
 _DEFAULT_ESCAPES = frozenset({FLAG_OCTET, ESC_OCTET})
 
 
-@dataclass
 class _Job:
     """One word's worth of work travelling down the pipeline."""
 
-    data: bytes      # expanded (gen) or contracted (det) octets
-    eof: bool
-    sof: bool
+    __slots__ = ("data", "eof", "sof")
+
+    def __init__(self, data: bytes, eof: bool, sof: bool) -> None:
+        self.data = data      # expanded (gen) or contracted (det) octets
+        self.eof = eof
+        self.sof = sof
 
 
 class _EscapePipelineBase(Module):

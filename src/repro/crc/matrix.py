@@ -28,8 +28,8 @@ and logic depth of the hardware CRC core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -64,7 +64,6 @@ class CrcMatrices:
     bits_per_cycle: int
     f_columns: Tuple[int, ...]
     h_columns: Tuple[int, ...]
-    _byte_tables: List[np.ndarray] = field(default_factory=list, compare=False, repr=False)
 
     # ----------------------------------------------------------- matrix view
     def f_matrix(self) -> np.ndarray:
@@ -107,55 +106,53 @@ class CrcMatrices:
         analogue of the hardware XOR forest) so a word costs
         ``width/8 + W/8`` table lookups plus XORs.
         """
-        tables = self._tables()
-        width_bytes = (self.spec.width + 7) // 8
+        state_tables, data_tables = self.lane_tables
         nxt = 0
-        for lane in range(width_bytes):
-            nxt ^= int(tables[lane][(state >> (8 * lane)) & 0xFF])
-        for lane, byte in enumerate(word):
-            nxt ^= int(tables[width_bytes + lane][byte])
+        for table in state_tables:
+            nxt ^= table[state & 0xFF]
+            state >>= 8
+        for table, byte in zip(data_tables, word):
+            nxt ^= table[byte]
         return nxt
 
-    def _tables(self) -> List[np.ndarray]:
-        if not self._byte_tables:
-            self._byte_tables.extend(self._build_byte_tables())
-        return self._byte_tables
+    @cached_property
+    def lane_tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+        """Columns collapsed into per-byte-lane lookup tables of ints.
 
-    def _build_byte_tables(self) -> List[np.ndarray]:
-        """Collapse columns into per-byte-lane lookup tables.
-
-        State lanes come first (``ceil(width/8)`` tables indexed by the
-        corresponding state byte), then ``W/8`` data lanes indexed by
-        the data octet — with the octet's bits mapped to processing
-        order per ``refin``.
+        Returns ``(state_tables, data_tables)``: ``ceil(width/8)``
+        tables indexed by the corresponding state byte (lane 0 is the
+        least significant), then ``W/8`` tables indexed by the data
+        octet of that lane, with the octet's bits mapped to
+        processing order per ``refin``.  Built on first use, once per
+        matrices object (and :func:`build_matrices` memoizes those).
         """
         spec = self.spec
-        tables: List[np.ndarray] = []
-        width_bytes = (spec.width + 7) // 8
-        for lane in range(width_bytes):
-            table = np.zeros(256, dtype=np.uint64)
-            for value in range(256):
-                acc = 0
-                for bit in range(8):
-                    j = 8 * lane + bit
-                    if j < spec.width and (value >> bit) & 1:
-                        acc ^= self.f_columns[j]
-                table[value] = acc
-            tables.append(table)
-        data_bytes = self.bits_per_cycle // 8
-        for lane in range(data_bytes):
-            table = np.zeros(256, dtype=np.uint64)
-            for value in range(256):
-                acc = 0
-                for bit in range(8):
-                    # Processing order within the octet follows refin.
-                    k = 8 * lane + bit
-                    src_bit = bit if spec.refin else 7 - bit
-                    if (value >> src_bit) & 1:
-                        acc ^= self.h_columns[k]
-                table[value] = acc
-            tables.append(table)
-        return tables
+        state_tables = []
+        for lane in range((spec.width + 7) // 8):
+            cols = [
+                self.f_columns[8 * lane + bit] if 8 * lane + bit < spec.width else 0
+                for bit in range(8)
+            ]
+            state_tables.append(_xor_table(cols))
+        data_tables = []
+        for lane in range(self.bits_per_cycle // 8):
+            # Processing order within the octet follows refin: octet
+            # bit ``b`` is absorbed at position ``b`` (refin) or ``7-b``.
+            cols = [
+                self.h_columns[8 * lane + (bit if spec.refin else 7 - bit)]
+                for bit in range(8)
+            ]
+            data_tables.append(_xor_table(cols))
+        return tuple(state_tables), tuple(data_tables)
+
+
+def _xor_table(cols: List[int]) -> Tuple[int, ...]:
+    """``table[v]`` = XOR of ``cols[b]`` over the set bits ``b`` of ``v``."""
+    table = [0] * 256
+    for value in range(1, 256):
+        low = value & -value
+        table[value] = table[value ^ low] ^ cols[low.bit_length() - 1]
+    return tuple(table)
 
 
 def _columns_to_matrix(columns: Tuple[int, ...], width: int) -> np.ndarray:

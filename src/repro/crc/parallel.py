@@ -71,9 +71,14 @@ class ParallelCrc:
             raise ValueError(
                 f"partial step takes 1..{self.bytes_per_cycle - 1} octets, got {len(tail)}"
             )
+        state_tables, (octet_table,) = self._byte_matrices.lane_tables
         state = self._state
         for byte in tail:
-            state = self._byte_matrices.step_word(state, bytes([byte]))
+            nxt = octet_table[byte]
+            for table in state_tables:
+                nxt ^= table[state & 0xFF]
+                state >>= 8
+            state = nxt
         self._state = state
         self.words_absorbed += 1
 

@@ -101,22 +101,25 @@ class Channel:
 
     # ------------------------------------------------------------------ data
     def push(self, item: Any) -> None:
-        if not self.can_push:
+        queue = self._queue
+        occupancy = len(queue)
+        if occupancy >= self.capacity:
             raise BackpressureOverflow(
                 f"push into full channel {self.name!r} (capacity {self.capacity})"
             )
-        self._queue.append(item)
+        queue.append(item)
         self.pushes += 1
-        if len(self._queue) > self.max_occupancy:
-            self.max_occupancy = len(self._queue)
+        if occupancy >= self.max_occupancy:
+            self.max_occupancy = occupancy + 1
         if self.on_push is not None:
             self.on_push(item)
 
     def pop(self) -> Any:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise BackpressureOverflow(f"pop from empty channel {self.name!r}")
         self.pops += 1
-        item = self._queue.popleft()
+        item = queue.popleft()
         if self.on_pop is not None:
             self.on_pop(item)
         return item

@@ -10,8 +10,8 @@ unit, where deleting escape octets opens "bubbles" in the word
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class WordBeat:
     """One datapath word in flight.
 
@@ -40,31 +39,66 @@ class WordBeat:
     sof / eof:
         Frame delimiting marks (the in-band equivalent of the flag
         octets once the framing layer has been processed).
+
+    A beat is a value: it carries its valid octets with it (the
+    payload and its length are computed once, when the beat is built,
+    because every pipeline stage reads them), and no stage assigns to
+    a beat after construction — a stage that changes a mark builds a
+    new beat.
     """
 
-    lanes: Tuple[int, ...]
-    valid: Tuple[bool, ...]
-    sof: bool = False
-    eof: bool = False
+    #: Every stage of the cycle engine builds or reads beats each
+    #: clock; slots keep construction and attribute loads cheap.
+    __slots__ = ("lanes", "valid", "sof", "eof", "_payload", "n_valid")
 
-    def __post_init__(self) -> None:
-        if len(self.lanes) != len(self.valid):
+    def __init__(
+        self,
+        lanes: Tuple[int, ...],
+        valid: Tuple[bool, ...],
+        sof: bool = False,
+        eof: bool = False,
+    ) -> None:
+        if len(lanes) != len(valid):
             raise ValueError("lanes and valid must have equal length")
-        for lane, ok in zip(self.lanes, self.valid):
-            if ok and not 0 <= lane <= 0xFF:
-                raise ValueError(f"lane value out of range: {lane}")
+        try:
+            payload = bytes(compress(lanes, valid))
+        except ValueError:
+            bad = next(b for b, ok in zip(lanes, valid) if ok and not 0 <= b <= 0xFF)
+            raise ValueError(f"lane value out of range: {bad}") from None
+        self.lanes = lanes
+        self.valid = valid
+        self.sof = sof
+        self.eof = eof
+        self._payload = payload
+        #: Number of valid lanes (the octets this beat carries).
+        self.n_valid = len(payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.lanes == other.lanes
+            and self.valid == other.valid
+            and self.sof == other.sof
+            and self.eof == other.eof
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lanes, self.valid, self.sof, self.eof))
+
+    def __repr__(self) -> str:
+        return (
+            f"WordBeat(lanes={self.lanes!r}, valid={self.valid!r}, "
+            f"sof={self.sof!r}, eof={self.eof!r})"
+        )
 
     @property
     def width_bytes(self) -> int:
         return len(self.lanes)
 
-    @property
-    def n_valid(self) -> int:
-        return sum(self.valid)
-
     def payload(self) -> bytes:
         """The valid octets of this beat, in lane order."""
-        return bytes(b for b, ok in zip(self.lanes, self.valid) if ok)
+        return self._payload
 
     @classmethod
     def from_bytes(
@@ -76,11 +110,11 @@ class WordBeat:
         eof: bool = False,
     ) -> "WordBeat":
         """Left-aligned beat from 1..width_bytes octets."""
-        if not 0 < len(data) <= width_bytes:
-            raise ValueError(f"beat must carry 1..{width_bytes} octets, got {len(data)}")
-        lanes = tuple(data) + (0,) * (width_bytes - len(data))
-        valid = (True,) * len(data) + (False,) * (width_bytes - len(data))
-        return cls(lanes, valid, sof=sof, eof=eof)
+        n = len(data)
+        if not 0 < n <= width_bytes:
+            raise ValueError(f"beat must carry 1..{width_bytes} octets, got {n}")
+        valid, padding = _left_aligned(width_bytes, n)
+        return cls(tuple(data) + padding, valid, sof, eof)
 
     def render(self) -> str:
         """Human-readable lane dump for timing diagrams, e.g. ``7E 12 -- 45``."""
@@ -89,6 +123,13 @@ class WordBeat:
         ]
         marks = ("S" if self.sof else "") + ("E" if self.eof else "")
         return " ".join(cells) + (f" [{marks}]" if marks else "")
+
+
+@lru_cache(maxsize=None)
+def _left_aligned(width_bytes: int, n: int) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:
+    """The shared ``valid`` mask and zero padding of an ``n``-octet,
+    left-aligned beat of ``width_bytes`` lanes."""
+    return (True,) * n + (False,) * (width_bytes - n), (0,) * (width_bytes - n)
 
 
 def beats_from_bytes(data: bytes, width_bytes: int, *, frame_marks: bool = True) -> List[WordBeat]:
@@ -196,7 +237,7 @@ class StreamSource(Module):
 
     def extend(self, beats: Sequence[WordBeat]) -> None:
         """Append more traffic (chains iterators; cheap)."""
-        self._beats = itertools.chain(self._beats, list(beats))
+        self._beats = chain(self._beats, list(beats))
         self.done = False
 
     @property

@@ -272,7 +272,13 @@ class Simulator:
         timeout: Optional[int] = None,
         watchdog: Optional[int] = None,
     ) -> int:
-        """Run until no channel holds data for ``idle_cycles`` in a row."""
+        """Run until no channel holds data for ``idle_cycles`` in a row.
+
+        Idleness is judged on the same channel set the watchdog
+        observes (declared plus wired), so an undeclared channel still
+        holding words keeps the run going.
+        """
+        channels = self._watch_channels()
         idle = 0
         start = self.cycle
         limit = timeout if timeout is not None else self.max_cycles
@@ -285,9 +291,9 @@ class Simulator:
                 raise SimulationError(f"drain did not complete within {limit} cycles")
             if budget is not None and self.cycle - quiet_since >= budget:
                 self._raise_stall(self.cycle - quiet_since)
-            busy_before = any(ch.can_pop for ch in self.channels)
+            busy_before = any(ch.can_pop for ch in channels)
             self.step()
-            busy_after = any(ch.can_pop for ch in self.channels)
+            busy_after = any(ch.can_pop for ch in channels)
             idle = 0 if (busy_before or busy_after) else idle + 1
             if budget is not None:
                 activity = self._activity()

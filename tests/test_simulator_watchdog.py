@@ -160,3 +160,14 @@ class TestWatchdogEdges:
     def test_drain_budget_below_the_boundary_trips(self):
         with pytest.raises(PipelineStallError):
             self._quiet_drain_sim().drain(idle_cycles=4, watchdog=3)
+
+    def test_drain_watches_undeclared_channels(self):
+        """Idleness is judged on the wired channels too: with the link
+        left out of the channel list, drain still delivers everything."""
+        payload = bytes(range(200))
+        ch = Channel("undeclared", capacity=2)
+        source = StreamSource("src", ch, beats_from_bytes(payload, 4))
+        sink = StreamSink("sink", ch)
+        sim = Simulator([source, sink])  # no channels declared
+        assert sim.drain() == 55
+        assert sink.data() == payload
