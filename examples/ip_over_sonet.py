@@ -12,6 +12,7 @@ Run:  python examples/ip_over_sonet.py
 """
 
 from repro.analysis import ip_over_sonet_efficiency
+from repro.hdlc import Delineator
 from repro.ipv4 import Ipv4Datagram
 from repro.ppp import IpcpConfig, LcpConfig, PppEndpoint
 from repro.ppp.frame import PPPFrame
@@ -24,8 +25,8 @@ def pump_over_sonet(endpoint: PppEndpoint, path: PppOverSonet) -> bytes:
     """Endpoint -> HDLC wire -> re-map onto the SONET path -> line."""
     wire = endpoint.pump()
     if wire:
-        for frame in endpoint.tx_framer.decode_stream(wire):
-            path.queue_frame(frame.content)
+        for content in Delineator(framer=endpoint.tx_framer).push_bytes(wire):
+            path.queue_frame(content)
     return path.next_line_frame()
 
 

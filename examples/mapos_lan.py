@@ -109,7 +109,7 @@ def main() -> None:
 def _drain_tx(station: MaposStation):
     """Run the station's TX pipeline until its wire is fully emitted."""
     from repro.core.rx import P5Receiver
-    from repro.hdlc import HdlcFramer
+    from repro.hdlc import Delineator, HdlcFramer
 
     tx = station.p5.tx
     from repro.rtl import StreamSink
@@ -118,7 +118,7 @@ def _drain_tx(station: MaposStation):
     sim = Simulator(tx.modules + [sink], tx.channels)
     sim.run_until(lambda: not tx.busy and not tx.phy_out.can_pop, timeout=200_000)
     framer = HdlcFramer(station.p5.config.fcs)
-    return [f.content for f in framer.decode_stream(sink.data())]
+    return Delineator(framer=framer).push_bytes(sink.data())
 
 
 def _inject_rx(station: MaposStation, content: bytes) -> None:

@@ -48,9 +48,7 @@ def main() -> None:
         wire = tx.build(chunk)
         working = wire if frame_no < cut_at else bytes(len(wire))  # the cut
         payload = selector.receive_frame(working, wire)
-        before = len(delineator.frames)
-        delineator.push_bytes(payload)
-        recovered += [f.content for f in delineator.frames[before:]]
+        recovered += delineator.push_bytes(payload)
         marker = ""
         if selector.switch_events and selector.switch_events[-1][0] == frame_no:
             _, target, kind = selector.switch_events[-1]

@@ -6,7 +6,8 @@ at a time.  This package is its throughput-serving twin: the same
 stuff → CRC → frame → delineate → destuff → check transformation
 applied to *whole frames and batches of frames* with the package's
 one bytes-native frame codec (:mod:`repro.hdlc.byte_stuffing`, and
-:mod:`zlib` for FCS-32) — no per-cycle stepping.
+:mod:`zlib` for FCS-32) and its one receiver
+(:class:`~repro.hdlc.receiver.HdlcReceiver`) — no per-cycle stepping.
 
 The two engines are kept honest against each other by the
 :class:`~repro.fastpath.differential.DifferentialHarness`, which runs
@@ -18,16 +19,11 @@ which engine.
 """
 
 from repro.fastpath.differential import DifferentialHarness, DifferentialReport
-from repro.fastpath.engine import (
-    FastpathEngine,
-    FastpathRxResult,
-    FastpathTxResult,
-)
+from repro.fastpath.engine import FastpathEngine, FastpathTxResult
 
 __all__ = [
     "FastpathEngine",
     "FastpathTxResult",
-    "FastpathRxResult",
     "DifferentialHarness",
     "DifferentialReport",
 ]

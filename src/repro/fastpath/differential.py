@@ -12,12 +12,12 @@ observable the two share:
   wrapped and escapes inserted on TX, and on RX the :data:`RX_COUNTERS`
   table (frames ok, FCS errors, runts, aborts, oversize cuts, hunt
   discards, escapes deleted and empty inter-frame bodies), which maps
-  each OAM register name to its :class:`FastpathRxResult` field.  The
+  each OAM register name to its :class:`RxResult` field.  The
   cycle side reads every register through
   :data:`~repro.core.oam.COUNTERS`, the OAM block's own map.
 
-The cycle side reports in the fastpath's own
-:class:`~repro.fastpath.engine.FastpathRxResult`, so one record type
+The cycle side reports in the frame-level receiver's own
+:class:`~repro.hdlc.receiver.RxResult`, so one record type
 carries both engines' answers.  :meth:`DifferentialHarness.cycle_loopback`
 clocks a batch through one P5 loopback
 (:func:`~repro.core.p5.build_loopback`); :class:`CycleReceiver` is a
@@ -45,7 +45,8 @@ from repro.core.config import P5Config
 from repro.core.oam import COUNTER_READERS
 from repro.core.p5 import P5System, build_loopback
 from repro.core.rx import P5Receiver
-from repro.fastpath.engine import FastpathEngine, FastpathRxResult
+from repro.fastpath.engine import FastpathEngine
+from repro.hdlc.receiver import RxResult
 from repro.rtl.pipeline import StreamSource, beats_from_bytes
 from repro.rtl.simulator import Simulator
 
@@ -58,7 +59,7 @@ __all__ = [
 
 #: The RX counter set both engines keep, keyed by OAM register name
 #: (:data:`~repro.core.oam.COUNTERS`; ``EMPTY_BODIES`` has no
-#: register): the :class:`FastpathRxResult` field that carries it.
+#: register): the :class:`RxResult` field that carries it.
 RX_COUNTERS: Dict[str, str] = {
     "RX_FRAMES_OK": "frames_ok",
     "RX_FCS_ERRORS": "fcs_errors",
@@ -78,7 +79,7 @@ _ABORT_INVARIANT = (
 
 
 def _rx_counts(cycle: Union[P5System, "CycleReceiver"]) -> Dict[str, int]:
-    """The counters of ``cycle.rx``, by :class:`FastpathRxResult` field.
+    """The counters of ``cycle.rx``, by :class:`RxResult` field.
 
     ``cycle`` holds its receiver as ``rx``, like a :class:`P5System`,
     so the OAM block's ``rx.*`` readers apply to it unchanged.
@@ -111,7 +112,7 @@ class CycleReceiver:
         self._frame_cursor = 0
         self._counts = _rx_counts(self)
 
-    def feed(self, data: bytes) -> FastpathRxResult:
+    def feed(self, data: bytes) -> RxResult:
         if data:
             self.source.extend(
                 beats_from_bytes(data, self._width_bytes, frame_marks=False)
@@ -122,7 +123,7 @@ class CycleReceiver:
         self._counts = after
         frames = self.rx.frames[self._frame_cursor:]
         self._frame_cursor = len(self.rx.frames)
-        return FastpathRxResult(
+        return RxResult(
             frames=frames,
             **{name: after[name] - before[name] for name in after},
         )
@@ -154,8 +155,8 @@ class DifferentialReport:
 
     def compare_rx(
         self,
-        cycle: FastpathRxResult,
-        fast: FastpathRxResult,
+        cycle: RxResult,
+        fast: RxResult,
         registers: Sequence[str] = tuple(RX_COUNTERS),
     ) -> None:
         for register in registers:
@@ -224,7 +225,7 @@ class DifferentialHarness:
         report.compare(
             "ESC_INSERTED", COUNTER_READERS["ESC_INSERTED"](system), tx_fast.octets_escaped
         )
-        report.compare_rx(FastpathRxResult(**_rx_counts(system)), rx_fast)
+        report.compare_rx(RxResult(**_rx_counts(system)), rx_fast)
         return report
 
     def run_rx(self, line: bytes) -> DifferentialReport:

@@ -3,20 +3,21 @@
 Everything the cycle-accurate P5 does to a frame — FCS generation,
 octet stuffing, flag wrapping, delineation, destuffing, FCS checking —
 expressed as whole-buffer ``bytes`` transformations on the package's
-one frame codec: :func:`~repro.hdlc.byte_stuffing.stuff` /
-:func:`~repro.hdlc.byte_stuffing.unstuff` for transparency and
-:func:`~repro.crc.table.crc_function` (:func:`zlib.crc32` for FCS-32)
-for the FCS.
+one frame codec and one receiver, configured from a
+:class:`~repro.core.config.P5Config`.
 
 * **TX** — a *batch* of frame contents becomes one wire byte stream:
-  per frame the FCS, then stuffing, then one flag-wrapping join.
-* **RX** — the wire stream is split on flags; each body is destuffed
-  with the cycle model's
-  :func:`~repro.core.escape_det.contract_word` semantics (non-strict
-  :func:`~repro.hdlc.byte_stuffing.unstuff`, which also decodes
-  non-conforming chained escapes like the hardware), then
-  residue-checked.  :meth:`FastpathEngine.feed` decodes a stream that
-  arrives in pieces, carrying the open frame between them.
+  per frame the FCS (:func:`~repro.crc.table.crc_function`,
+  :func:`zlib.crc32` for FCS-32), then
+  :func:`~repro.hdlc.byte_stuffing.stuff`, then one flag-wrapping
+  join.
+* **RX** — :class:`~repro.hdlc.receiver.HdlcReceiver`, the receiver the
+  PPP-layer :class:`~repro.hdlc.delineation.Delineator` also runs:
+  split on flags, destuff with the cycle model's
+  :func:`~repro.core.escape_det.contract_word` semantics, residue
+  check, bodies cut at ``max_frame_octets``.
+  :meth:`FastpathEngine.feed` decodes a stream that arrives in pieces,
+  carrying the open frame between them.
 
 The engine mirrors the cycle model's observable behaviour: identical
 line bytes on TX, and on RX identical frame verdicts plus the OAM
@@ -28,15 +29,15 @@ equivalence run by run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
-from repro.crc.table import crc_function
 from repro.hdlc.accm import Accm
-from repro.hdlc.byte_stuffing import stuff, unstuff
+from repro.hdlc.byte_stuffing import stuff
+from repro.hdlc.receiver import HdlcReceiver, RxResult
 
-__all__ = ["FastpathEngine", "FastpathTxResult", "FastpathRxResult"]
+__all__ = ["FastpathEngine", "FastpathTxResult"]
 
 
 @dataclass(frozen=True)
@@ -53,34 +54,6 @@ class FastpathTxResult:
         return len(self.line)
 
 
-@dataclass
-class FastpathRxResult:
-    """One decoded stream: frames with verdicts plus RX-side counters.
-
-    The counters carry the same meaning as the cycle model's OAM
-    counter registers; :data:`repro.fastpath.differential.RX_COUNTERS`
-    names the register of each field, and
-    :data:`repro.core.oam.COUNTERS` the datapath counter behind it.
-    """
-
-    frames: List[Tuple[bytes, bool]] = field(default_factory=list)
-    frames_ok: int = 0
-    fcs_errors: int = 0
-    runt_frames: int = 0
-    aborts: int = 0
-    oversize_drops: int = 0
-    empty_bodies: int = 0
-    octets_discarded_hunting: int = 0
-    octets_deleted: int = 0
-    #: Octets after the final flag — an open frame the cycle model
-    #: would still be holding in its delineation carry.
-    open_tail_octets: int = 0
-
-    def good_frames(self) -> List[bytes]:
-        """Contents of frames that passed the FCS check."""
-        return [content for content, good in self.frames if good]
-
-
 class FastpathEngine:
     """Frame-level TX/RX datapath sharing the cycle model's config.
 
@@ -92,13 +65,13 @@ class FastpathEngine:
     """
 
     def __init__(self, config: Optional[P5Config] = None) -> None:
-        self.config = config or P5Config()
-        spec = self.config.fcs
-        self.fcs_octets = spec.width // 8
-        self._crc = crc_function(spec)
-        #: CRC over content + transmitted FCS of every intact frame.
-        self._good_crc = spec.residue ^ spec.xorout
-        self._accm = Accm(self.config.accm_mask)
+        self.config = config = config or P5Config()
+        self.fcs_octets = config.fcs.width // 8
+        self._rx = HdlcReceiver(
+            config.fcs, flag=config.flag_octet, esc=config.esc_octet
+        )
+        self._crc = self._rx.crc
+        self._accm = Accm(config.accm_mask)
         self._flag = bytes((self.config.flag_octet,))
         self._carry = b""
 
@@ -147,72 +120,16 @@ class FastpathEngine:
         )
 
     # -------------------------------------------------------------------- RX
-    def decode_stream(self, line: bytes) -> FastpathRxResult:
+    def decode_stream(self, line: bytes) -> RxResult:
         """Delineate, destuff and FCS-check a wire byte stream.
 
-        Mirrors the cycle receiver's error handling: octets before the
-        first flag are hunt discards, a body ending in the escape octet
-        is the RFC 1662 abort sequence, a body longer than
-        ``max_frame_octets`` is cut at the same octet the cycle
-        delineator cuts it — and, exactly like the cycle model, the cut
-        prefix is force-closed as a frame of its own (destuffed and
-        FCS-checked; the remainder counts as hunt discards) — and a
-        destuffed frame no larger than the FCS is a silently swallowed
-        runt.
+        The verdicts are :class:`~repro.hdlc.receiver.HdlcReceiver`'s,
+        which mirror the cycle receiver's, with bodies cut at
+        ``max_frame_octets``.
         """
-        result = FastpathRxResult()
-        line = bytes(line)
-        bodies = line.split(self._flag)
-        if len(bodies) == 1:
-            result.octets_discarded_hunting = len(line)
-            return result
-        result.octets_discarded_hunting = len(bodies[0])
-        result.open_tail_octets = len(bodies[-1])
-        closed = bodies[1:-1]
-        result.empty_bodies = closed.count(b"")
-        for body in closed:
-            if body:
-                self._close(body, result)
-        return result
+        return self._rx.decode(bytes(line), self.config.max_frame_octets)
 
-    def _close(self, body: bytes, result: FastpathRxResult) -> None:
-        """Account one non-empty body ended by a flag (or by the
-        oversize cut)."""
-        config = self.config
-        max_body = config.max_frame_octets
-        end = len(body)
-        if max_body and end > max_body:
-            # The cycle delineator cuts on the (max+1)-th body octet,
-            # force-closes the already-shipped prefix as a frame (the
-            # cut always lies past the held-back window because
-            # max_frame_octets >= 4 words), and re-hunts; the rest of
-            # the body is noise.  No abort check: the cut is forced by
-            # count, not by ESC-then-FLAG.
-            result.oversize_drops += 1
-            result.octets_discarded_hunting += end - (max_body + 1)
-            body = body[: max_body + 1]
-            # A cut right after a deleting escape (odd trailing run):
-            # Escape Detect drops it with nothing left to restore.
-            run = len(body) - len(body.rstrip(bytes((config.esc_octet,))))
-            end = len(body) - run % 2
-        elif body[-1] == config.esc_octet:
-            result.aborts += 1
-            return
-        clear = unstuff(body[:end], strict=False,
-                        flag=config.flag_octet, esc=config.esc_octet)
-        result.octets_deleted += len(body) - len(clear)
-        fcs_octets = self.fcs_octets
-        if len(clear) <= fcs_octets:
-            result.runt_frames += 1
-            return
-        good = self._crc(clear) == self._good_crc
-        if good:
-            result.frames_ok += 1
-        else:
-            result.fcs_errors += 1
-        result.frames.append((clear[:-fcs_octets], good))
-
-    def feed(self, data: bytes) -> FastpathRxResult:
+    def feed(self, data: bytes) -> RxResult:
         """Decode the next piece of a continuous wire stream.
 
         The open frame from the last flag is carried into the next
@@ -223,15 +140,7 @@ class FastpathEngine:
         """
         line = self._carry + data
         result = self.decode_stream(line)
-        last = line.rfind(self._flag)
-        tail = line[last + 1:] if last >= 0 else b""
-        max_body = self.config.max_frame_octets
-        if max_body and len(tail) > max_body:
-            self._close(tail, result)
-            result.open_tail_octets = 0
-            self._carry = b""
-        else:
-            self._carry = line[last:] if last >= 0 else b""
+        self._carry = self._rx.carry(line, result, self.config.max_frame_octets)
         return result
 
     def take_carry(self) -> bytes:
@@ -243,7 +152,7 @@ class FastpathEngine:
     # -------------------------------------------------------------- loopback
     def loopback(
         self, contents: Sequence[bytes]
-    ) -> Tuple[FastpathTxResult, FastpathRxResult]:
+    ) -> Tuple[FastpathTxResult, RxResult]:
         """Encode a batch and decode it straight back (clean wire)."""
         tx = self.encode_frames(contents)
         return tx, self.decode_stream(tx.line)

@@ -10,8 +10,11 @@
 * :mod:`repro.hdlc.accm` — the async control character map that makes
   additional octets escapable (LCP-negotiable).
 * :mod:`repro.hdlc.framer` — whole-frame encode/decode with FCS.
-* :mod:`repro.hdlc.delineation` — the streaming receive delineator
-  state machine (hunt/sync, abort and runt handling).
+* :mod:`repro.hdlc.receiver` — the one streaming receiver (hunt,
+  abort, oversize cut, destuff, residue check), shared by the
+  delineator and :mod:`repro.fastpath`.
+* :mod:`repro.hdlc.delineation` — the PPP-layer delineator over that
+  receiver (MRU guard, running counters, resync).
 """
 
 from repro.hdlc.constants import (
@@ -28,6 +31,7 @@ from repro.hdlc.byte_stuffing import (
     unstuff,
 )
 from repro.hdlc.bit_stuffing import bit_stuff, bit_unstuff
+from repro.hdlc.receiver import HdlcReceiver, RxResult
 from repro.hdlc.framer import DecodedFrame, HdlcFramer
 from repro.hdlc.delineation import Delineator, DelineatorStats
 
@@ -45,6 +49,8 @@ __all__ = [
     "bit_unstuff",
     "HdlcFramer",
     "DecodedFrame",
+    "HdlcReceiver",
+    "RxResult",
     "Delineator",
     "DelineatorStats",
 ]

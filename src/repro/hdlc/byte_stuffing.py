@@ -2,10 +2,12 @@
 
 This is the computation the paper's Escape Generate and Escape Detect
 hardware performs, and the package's one frame-level implementation
-of it: :class:`~repro.hdlc.framer.HdlcFramer`,
-:class:`~repro.hdlc.delineation.Delineator` and
-:class:`~repro.fastpath.engine.FastpathEngine` all call :func:`stuff`
-and :func:`unstuff`, and the cycle-accurate pipelines in
+of it.  :func:`stuff` serves :class:`~repro.hdlc.framer.HdlcFramer`
+and :class:`~repro.fastpath.engine.FastpathEngine` on transmit;
+:func:`unstuff` serves the framer's strict whole-frame decode and,
+non-strict, the one streaming receiver
+(:class:`~repro.hdlc.receiver.HdlcReceiver`) behind the delineator and
+the fastpath.  The cycle-accurate pipelines in
 :mod:`repro.core.escape_pipeline` are checked against them.
 
 Both directions work on whole ``bytes`` buffers: stuffing is a

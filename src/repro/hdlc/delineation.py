@@ -1,30 +1,23 @@
-"""Streaming frame delineation — the receiver's hunt/sync machine.
+"""Streaming frame delineation for the PPP layer.
 
-The whole-frame :class:`~repro.hdlc.framer.HdlcFramer` assumes it is
-handed complete frames; real receivers see an unaligned octet stream
-(possibly mid-frame at power-up, possibly corrupted).  The
-:class:`Delineator` consumes that stream in buffers of any size — it
-scans each for flags and carries the open frame between buffers, so
-the result does not depend on how the stream is chunked — and emits
-decoded frames while accounting every discard reason in
-:class:`DelineatorStats` — the counters the Protocol OAM block exposes
-to the host microprocessor.
+Real receivers see an unaligned octet stream (possibly mid-frame at
+power-up, possibly corrupted), not whole frames.  The
+:class:`Delineator` consumes that stream in buffers of any size
+through the package's one receiver,
+:class:`~repro.hdlc.receiver.HdlcReceiver` (hunt, abort, oversize cut,
+destuff, residue check, open-frame carry), so the result does not
+depend on how the stream is chunked and the held state is one bounded
+open frame.  What it adds is PPP-layer policy: the MRU check on good
+frames, and the running :class:`DelineatorStats` — the counters the
+Protocol OAM block exposes to the host microprocessor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from repro.errors import (
-    AbortError,
-    FcsError,
-    FramingError,
-    OversizeFrameError,
-    RuntFrameError,
-)
-from repro.hdlc.constants import FLAG_OCTET
-from repro.hdlc.framer import DecodedFrame, HdlcFramer
+from repro.hdlc.framer import HdlcFramer
 
 __all__ = ["Delineator", "DelineatorStats"]
 
@@ -57,100 +50,56 @@ class DelineatorStats:
 class Delineator:
     """Octet-streaming HDLC frame delineator.
 
-    Feed octets with :meth:`push` / :meth:`push_bytes`; completed,
-    FCS-verified frames are returned (and also appended to
-    :attr:`frames`).  The machine starts in *hunt* state and discards
-    octets until the first flag, as hardware must after power-up or
-    loss of synchronisation.
+    Feed octets with :meth:`push_bytes`; the contents of completed,
+    FCS-verified frames are returned.  The machine starts in *hunt*
+    state and discards octets until the first flag, as hardware must
+    after power-up or loss of synchronisation.
 
     The open frame is bounded: once it holds more than
     ``2 * (framer.max_content + framer.fcs_octets)`` octets — longer
-    than any conforming frame, even fully escaped — it is counted
-    ``oversize``, dropped, and the machine re-hunts.
+    than any conforming frame, even fully escaped — it is cut
+    (``oversize``, and the cut prefix closes as a frame) and the
+    machine re-hunts.  A good frame whose content exceeds
+    ``framer.max_content`` (the MRU guard) also counts ``oversize``.
 
     Parameters
     ----------
     framer:
-        The frame codec to use (FCS width, ACCM, MRU guard).
+        The frame codec to use (FCS width, MRU guard).
     """
 
     framer: HdlcFramer = field(default_factory=HdlcFramer)
     stats: DelineatorStats = field(default_factory=DelineatorStats)
 
     def __post_init__(self) -> None:
-        self._synced = False
-        self._body = bytearray()
-        self.frames: List[DecodedFrame] = []
+        self._carry = b""
 
     @property
     def in_sync(self) -> bool:
-        """Whether at least one flag has been seen (frame-aligned)."""
-        return self._synced
+        """Whether a flag has been seen since the last resync."""
+        return bool(self._carry)
 
-    def push(self, octet: int) -> Optional[DecodedFrame]:
-        """Consume one octet; return a frame if this octet completed one."""
-        completed = self.push_bytes(bytes((octet,)))
-        return completed[0] if completed else None
-
-    def _finish(self, body: bytes) -> Optional[DecodedFrame]:
-        try:
-            frame = self.framer.decode_body(body)
-        except AbortError:
-            self.stats.aborts += 1
-        except FcsError:
-            self.stats.fcs_errors += 1
-        except RuntFrameError:
-            self.stats.runts += 1
-        except OversizeFrameError:
-            self.stats.oversize += 1
-        except FramingError:
-            self.stats.framing_errors += 1
-        else:
-            self.stats.frames_ok += 1
-            self.frames.append(frame)
-            return frame
-        return None
-
-    def push_bytes(self, data: Iterable[int]) -> List[DecodedFrame]:
-        """Consume a buffer; return the frames completed within it."""
+    def push_bytes(self, data: Iterable[int]) -> List[bytes]:
+        """Consume a buffer; return the good frame contents it completed."""
         data = bytes(data)
+        framer = self.framer
+        max_body = 2 * (framer.max_content + framer.fcs_octets)
+        line = self._carry + data
+        result = framer.receiver.decode(line, max_body)
+        self._carry = framer.receiver.carry(line, result, max_body)
+        good = [c for c in result.good_frames() if len(c) <= framer.max_content]
         stats = self.stats
         stats.octets_in += len(data)
-        cap = 2 * (self.framer.max_content + self.framer.fcs_octets)
-        completed: List[DecodedFrame] = []
-        pos = 0
-        while pos < len(data):
-            flag = data.find(FLAG_OCTET, pos)
-            end = flag if flag >= 0 else len(data)
-            held = len(self._body) + end - pos
-            if not self._synced or held > cap:
-                if self._synced:
-                    # Past the cap: drop the frame, hunt to the next flag.
-                    stats.oversize += 1
-                    stats.octets_discarded_hunting += held - cap - 1
-                    self._body.clear()
-                else:
-                    stats.octets_discarded_hunting += end - pos
-                self._synced = flag >= 0
-            elif flag < 0:
-                self._body += data[pos:]
-            else:
-                body = data[pos:flag]
-                if self._body:
-                    body = bytes(self._body + body)
-                    self._body.clear()
-                # An empty body is inter-frame idle, not a frame.
-                frame = self._finish(body) if body else None
-                if frame is not None:
-                    completed.append(frame)
-            if flag < 0:
-                break
-            pos = flag + 1
-        return completed
+        stats.frames_ok += len(good)
+        stats.fcs_errors += result.fcs_errors
+        stats.aborts += result.aborts
+        stats.runts += result.runt_frames
+        stats.oversize += result.oversize_drops + result.frames_ok - len(good)
+        stats.octets_discarded_hunting += result.octets_discarded_hunting
+        return good
 
     def flush(self) -> None:
         """Drop any partial frame (e.g. on link down) and resync."""
-        if self._body:
+        if len(self._carry) > 1:
             self.stats.framing_errors += 1
-            self._body.clear()
-        self._synced = False
+        self._carry = b""

@@ -3,8 +3,9 @@
 :class:`HdlcFramer` is the behavioural model of the complete TX/RX
 datapath the P5 implements: on transmit it appends the FCS, applies
 octet transparency and wraps the result in flags; on receive it
-reverses the process and verifies the FCS (by value and, equivalently,
-by the RFC's magic-residue method).
+reverses the process for one whole frame and verifies the FCS by
+value.  Streams go through :class:`~repro.hdlc.receiver.HdlcReceiver`
+instead, which checks the RFC's magic residue.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.crc import CRC32, CrcSpec, crc_function
+from repro.crc import CRC32, CrcSpec
 from repro.errors import FcsError, FramingError, OversizeFrameError, RuntFrameError
 from repro.hdlc.accm import Accm
 from repro.hdlc.byte_stuffing import stuff, unstuff
 from repro.hdlc.constants import FLAG_OCTET
+from repro.hdlc.receiver import HdlcReceiver
 
 __all__ = ["HdlcFramer", "DecodedFrame"]
 
@@ -71,7 +73,9 @@ class HdlcFramer:
         self.fcs_spec = fcs_spec
         self.accm = accm
         self.max_content = max_content
-        self._crc = crc_function(fcs_spec)
+        #: The stream decoder a :class:`~repro.hdlc.delineation.Delineator`
+        #: runs with this framer's FCS.
+        self.receiver = HdlcReceiver(fcs_spec)
 
     @property
     def fcs_octets(self) -> int:
@@ -81,7 +85,7 @@ class HdlcFramer:
     # ---------------------------------------------------------------- encode
     def compute_fcs(self, content: bytes) -> int:
         """FCS over the unstuffed frame content (addr..information)."""
-        return self._crc(content)
+        return self.receiver.crc(content)
 
     def encode(self, content: bytes, *, leading_flag: bool = True) -> bytes:
         """Build the on-wire frame: ``[7E] stuffed(content + FCS) 7E``.
@@ -104,13 +108,21 @@ class HdlcFramer:
         return bytes(out)
 
     # ---------------------------------------------------------------- decode
-    def decode_body(self, body: bytes, *, wire_length: Optional[int] = None) -> DecodedFrame:
-        """Decode the octets *between* flags: unstuff, split FCS, verify.
+    def decode(self, wire: bytes) -> DecodedFrame:
+        """Decode one complete frame including its delimiting flags:
+        unstuff, split off the FCS, verify.
 
-        Raises :class:`RuntFrameError`, :class:`FcsError`,
-        :class:`OversizeFrameError` or any transparency error from
-        :func:`repro.hdlc.byte_stuffing.unstuff`.
+        Raises :class:`FramingError` (missing flags, or a bare flag or
+        ``7D 7D`` inside), :class:`RuntFrameError`,
+        :class:`OversizeFrameError`, :class:`FcsError` or the
+        :class:`AbortError` of :func:`repro.hdlc.byte_stuffing.unstuff`.
         """
+        if len(wire) < 2 or wire[0] != FLAG_OCTET or wire[-1] != FLAG_OCTET:
+            raise FramingError("frame must start and end with the flag octet 0x7E")
+        # Tolerate flag padding/sharing at the boundaries.
+        body = wire[1:-1].strip(bytes([FLAG_OCTET]))
+        if not body:
+            raise RuntFrameError("no frame body between flags")
         clear = unstuff(body)
         if len(clear) < self.fcs_octets + 1:
             raise RuntFrameError(
@@ -125,41 +137,4 @@ class HdlcFramer:
         computed = self.compute_fcs(content)
         if carried != computed:
             raise FcsError(carried, computed)
-        # Cross-check via the RFC 1662 magic-residue method: CRC over
-        # content *plus* trailer must equal the spec's residue.
-        spec = self.fcs_spec
-        if self._crc(clear) ^ spec.xorout != spec.residue:
-            raise FcsError(carried, computed, "FCS residue check failed")
-        return DecodedFrame(
-            content=content,
-            fcs=carried,
-            wire_length=wire_length if wire_length is not None else len(body) + 2,
-        )
-
-    def decode(self, wire: bytes) -> DecodedFrame:
-        """Decode one complete frame including its delimiting flags."""
-        if len(wire) < 2 or wire[0] != FLAG_OCTET or wire[-1] != FLAG_OCTET:
-            raise FramingError("frame must start and end with the flag octet 0x7E")
-        body = wire[1:-1]
-        # Tolerate flag padding/sharing at the boundaries.
-        body = body.strip(bytes([FLAG_OCTET]))
-        if not body:
-            raise RuntFrameError("no frame body between flags")
-        return self.decode_body(body, wire_length=len(wire))
-
-    def decode_stream(self, wire: bytes) -> List[DecodedFrame]:
-        """Split a flag-delimited stream into frames and decode each.
-
-        Empty inter-flag gaps (idle flags) are skipped, matching the
-        receiver FSM's behaviour of treating repeated flags as one.
-        """
-        # Octets before the first flag are not framed; a stream with
-        # no flag at all holds no frame.
-        bodies = bytes(wire).split(bytes([FLAG_OCTET]))[1:]
-        if bodies and bodies[-1]:
-            raise FramingError("stream ends inside an undelimited frame")
-        return [
-            self.decode_body(body, wire_length=len(body) + 2)
-            for body in bodies
-            if body
-        ]
+        return DecodedFrame(content=content, fcs=carried, wire_length=len(wire))

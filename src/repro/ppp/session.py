@@ -349,12 +349,10 @@ class PppEndpoint:
     # --------------------------------------------------------------- receive
     def receive_wire(self, data: bytes) -> None:
         """Push raw line octets through delineation and dispatch frames."""
-        for decoded in self.delineator.push_bytes(data):
+        for content in self.delineator.push_bytes(data):
             self.counters.frames_rx += 1
             try:
-                frame = PPPFrame.decode(
-                    decoded.content, expected_address=self.address
-                )
+                frame = PPPFrame.decode(content, expected_address=self.address)
             except FramingError:
                 continue
             self._dispatch(frame)

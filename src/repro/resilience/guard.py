@@ -26,7 +26,7 @@ trust at runtime:
   cycle line, the fastpath is reinstated.
 
 Both receive paths are *streaming* and report the same
-:class:`~repro.fastpath.engine.FastpathRxResult`: the fast engine's
+:class:`~repro.hdlc.receiver.RxResult`: the fast engine's
 :meth:`~repro.fastpath.engine.FastpathEngine.feed` carries the open
 frame (from its last seen flag) between intervals, and the cycle
 receiver is a long-lived pipeline fed through
@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
 from repro.fastpath.differential import CycleReceiver, DifferentialHarness
-from repro.fastpath.engine import FastpathEngine, FastpathRxResult
+from repro.fastpath.engine import FastpathEngine
+from repro.hdlc.receiver import RxResult
 from repro.resilience.events import EventLog
 from repro.sta.conformance import ContractMonitor
 
@@ -209,7 +210,7 @@ class FastpathGuard:
         return line
 
     # --------------------------------------------------------------------- RX
-    def decode(self, data: bytes, interval: int) -> FastpathRxResult:
+    def decode(self, data: bytes, interval: int) -> RxResult:
         """Decode one interval's arriving bytes in the current mode."""
         if self.mode is GuardMode.FAST:
             return self.engine.feed(data)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ConfigError
-from repro.fastpath.engine import FastpathRxResult
+from repro.hdlc.receiver import RxResult
 
 __all__ = ["LaneState", "HealthSample", "HealthEngine"]
 
@@ -46,7 +46,7 @@ class HealthSample:
     expected_frames: int
     #: What the lane's tail decoded this interval: FCS-good frames,
     #: FCS errors, delineation damage and hunt discards.
-    rx: FastpathRxResult
+    rx: RxResult
     #: Whether the LQR exchange completed this interval.
     lqr_seen: bool = True
     #: Loss fractions from the lane's LQR verdict (0.0 when clean).

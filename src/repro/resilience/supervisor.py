@@ -39,12 +39,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import P5Config
 from repro.errors import LinkDownError, ProtocolError
+from repro.hdlc.receiver import RxResult
 from repro.ppp.fsm import Event, FsmActions, NegotiationFsm, State
 from repro.ppp.lqm import LinkQualityMonitor
 from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog
-from repro.fastpath.engine import FastpathRxResult
 from repro.resilience.guard import FastpathGuard, GuardMode
 from repro.resilience.health import HealthEngine, HealthSample, LaneState
 from repro.resilience.ladder import RecoveryLadder, RecoveryStep
@@ -144,7 +144,7 @@ class LaneDelivery:
     lqr_seen: bool = False
     outbound_loss: float = 0.0
     inbound_loss: float = 0.0
-    rx: FastpathRxResult = field(default_factory=FastpathRxResult)
+    rx: RxResult = field(default_factory=RxResult)
     #: Timing-contract findings the lane's cycle receiver raised.
     contract_violations: int = 0
 

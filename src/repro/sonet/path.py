@@ -96,9 +96,7 @@ class PppOverSonet:
         payload = self.rx_framer.feed(data)
         if self.payload_scrambling and payload:
             payload = self._rx_scrambler.descramble(payload)
-        before = len(self.delineator.frames)
-        self.delineator.push_bytes(payload)
-        return [f.content for f in self.delineator.frames[before:]]
+        return self.delineator.push_bytes(payload)
 
     # ------------------------------------------------------------- reporting
     @property

@@ -15,14 +15,14 @@ Two distinct scramblers appear in PPP-over-SONET:
   obsoleted — we implement both so the path can be configured either
   way.
 
-Both are GF(2) LFSR streams, vectorised with numpy over whole frames.
+Both are GF(2) LFSR streams: the frame-synchronous keystream is a
+cached numpy array, and the x^43 scrambler works on whole buffers as
+Python ints.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.utils.bits import bits_to_bytes, bytes_to_bits
 
 __all__ = ["FrameSyncScrambler", "SelfSyncScrambler"]
 
@@ -68,47 +68,44 @@ class SelfSyncScrambler:
     propagate exactly 43 bits, and the two directions maintain
     independent 43-bit state carried across calls (the stream spans
     frame boundaries).
+
+    A buffer is one Python int, first bit most significant, with the
+    43-bit state above it, so bit ``i - 43`` sits 43 places above bit
+    ``i`` and each direction is a few whole-int shifts and XORs.
     """
 
     TAPS = 43
+    _MASK = (1 << TAPS) - 1
 
     def __init__(self) -> None:
-        self._tx_state = np.zeros(self.TAPS, dtype=np.uint8)
-        self._rx_state = np.zeros(self.TAPS, dtype=np.uint8)
+        self.reset()
 
     def reset(self) -> None:
-        self._tx_state[:] = 0
-        self._rx_state[:] = 0
+        self._tx_state = 0
+        self._rx_state = 0
 
     def scramble(self, data: bytes) -> bytes:
         """Scramble ``data`` continuing from previous state.
 
-        The recurrence ``out[i] = in[i] ^ out[i-43]`` couples only bits
-        in the same residue class mod 43, so each class is a running
-        XOR — vectorised as a column-wise ``bitwise_xor.accumulate``
-        over rows of 43 bits (a frame's worth costs two numpy passes
-        instead of 300k Python iterations).
+        Only the last 43 outputs (the state) feed later bits, so
+        running the recurrence over ``state << n | in`` from zero
+        reproduces the stream.  Its solution is the prefix XOR of that
+        int in steps of 43 bits, built by doubling:
+        ``y ^= y >> 43 * 2**k``.
         """
-        bits = bytes_to_bits(data)
-        n = bits.size
-        if n == 0:
-            return b""
-        pad = (-n) % self.TAPS
-        grid = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        grid = grid.reshape(-1, self.TAPS)
-        acc = np.bitwise_xor.accumulate(grid, axis=0)
-        out = (acc ^ self._tx_state[None, :]).reshape(-1)[:n]
-        if n >= self.TAPS:
-            self._tx_state = out[-self.TAPS :].copy()
-        else:
-            self._tx_state = np.concatenate([self._tx_state[n:], out])
-        return bits_to_bytes(out)
+        n = 8 * len(data)
+        y = self._tx_state << n | int.from_bytes(data, "big")
+        step = self.TAPS
+        while step < n + self.TAPS:
+            y ^= y >> step
+            step <<= 1
+        self._tx_state = y & self._MASK
+        return (y & ((1 << n) - 1)).to_bytes(len(data), "big")
 
     def descramble(self, data: bytes) -> bytes:
         """Descramble ``data`` continuing from previous state."""
-        bits = bytes_to_bits(data)
-        padded = np.concatenate([self._rx_state, bits])
-        out = padded[self.TAPS :] ^ padded[: -self.TAPS]
-        self._rx_state = bits[-self.TAPS :].copy() if bits.size >= self.TAPS else \
-            np.concatenate([self._rx_state[bits.size :], bits])
-        return bits_to_bytes(out)
+        n = 8 * len(data)
+        x = int.from_bytes(data, "big")
+        z = self._rx_state << n | x
+        self._rx_state = z & self._MASK
+        return (x ^ z >> self.TAPS).to_bytes(len(data), "big")

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import P5Config
 from repro.core.rx import P5Receiver, WordDelineator
 from repro.core.tx import FlagInserter, P5Transmitter, TxFrameSource
-from repro.hdlc import HdlcFramer
+from repro.hdlc import Delineator, HdlcFramer
 from repro.rtl import (
     Channel,
     Simulator,
@@ -50,8 +50,9 @@ class TestTransmitter:
         frames = [rng.integers(0, 256, 40, dtype="uint8").tobytes()
                   for _ in range(3)]
         tx, wire = run_tx(frames, config)
-        decoded = HdlcFramer(config.fcs).decode_stream(wire)
-        assert [f.content for f in decoded] == frames
+        delineator = Delineator(framer=HdlcFramer(config.fcs))
+        assert delineator.push_bytes(wire) == frames
+        assert delineator.stats.total_errors() == 0
 
     def test_matches_software_framer(self, rng):
         """The hardware pipeline and HdlcFramer produce identical wires."""

@@ -100,8 +100,8 @@ def test_no_decode_path_builds_a_crc_engine_per_frame(monkeypatch):
         original(self, spec)
 
     monkeypatch.setattr(TableCrc, "__init__", counting)
-    assert [f.content for f in framer.decode_stream(wire)] == contents
-    assert [f.content for f in delineator.push_bytes(wire)] == contents
+    assert [framer.decode(framer.encode(c)).content for c in contents] == contents
+    assert delineator.push_bytes(wire) == contents
     assert engine.decode_stream(line).good_frames() == contents
     assert built == []
 
@@ -133,9 +133,10 @@ def _split(draw, wire):
 
 def _delineate(pieces):
     delineator = Delineator(framer=HdlcFramer(max_content=24))
+    frames = []
     for piece in pieces:
-        delineator.push_bytes(piece)
-    return delineator.frames, delineator.stats, delineator.in_sync
+        frames += delineator.push_bytes(piece)
+    return frames, delineator.stats, delineator.in_sync
 
 
 def _feed(pieces, max_frame_octets):
@@ -172,7 +173,7 @@ def test_every_two_piece_split_decodes_alike():
     contents = [b"\x7e\x7d\x41", b"\x7d" * 5, b"abc\x7ede"]
     wire = b"\x00" + FastpathEngine().encode_frames(contents).line
     whole_d, whole_f = _delineate([wire]), _feed([wire], 16)
-    assert [f.content for f in whole_d[0]] == contents
+    assert whole_d[0] == contents
     for cut in range(len(wire) + 1):
         pieces = [wire[:cut], wire[cut:]]
         assert _delineate(pieces) == whole_d
@@ -187,12 +188,13 @@ def test_delineator_caps_a_flagless_body_and_recovers():
     delineator.push_bytes(bytes([FLAG_OCTET]))
     for _ in range(16):
         delineator.push_bytes(b"\xff" * 65536)  # AIS: all ones
-        assert len(delineator._body) <= cap
+        assert len(delineator._carry) <= 1 + cap  # flag + open frame
     assert delineator.stats.oversize == 1
+    # The cut prefix closes as a frame of its own, as the cycle RX does.
+    assert delineator.stats.fcs_errors == 1
     assert delineator.stats.octets_discarded_hunting == 16 * 65536 - cap - 1
     assert not delineator.in_sync
-    (frame,) = delineator.push_bytes(framer.encode(b"after-ais"))
-    assert frame.content == b"after-ais"
+    assert delineator.push_bytes(framer.encode(b"after-ais")) == [b"after-ais"]
 
 
 def test_delineator_cap_admits_the_longest_conforming_body():
@@ -206,6 +208,7 @@ def test_delineator_cap_admits_the_longest_conforming_body():
     assert delineator.stats.oversize == 0
     delineator.push_bytes(longest + b"abc" + flag)  # cap + 3 octets
     assert delineator.stats.oversize == 1
+    assert delineator.stats.fcs_errors == 2  # the closed cut prefix
     assert delineator.stats.octets_discarded_hunting == 2
     assert delineator.in_sync and len(longest) == cap
 

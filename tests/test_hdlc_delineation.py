@@ -27,7 +27,7 @@ class TestHunting:
         assert delineator.stats.octets_discarded_hunting == 3
 
     def test_syncs_on_flag(self, delineator):
-        delineator.push(0x7E)
+        delineator.push_bytes(b"\x7e")
         assert delineator.in_sync
 
     def test_partial_frame_before_sync_not_decoded(self, delineator, framer):
@@ -36,8 +36,7 @@ class TestHunting:
         # delineation picks up cleanly with frame 2.
         wire = framer.encode(b"\xff\x03first") + framer.encode(b"\xff\x03second")
         frames = delineator.push_bytes(wire[4:])   # skip into frame 1
-        contents = [f.content for f in frames]
-        assert contents == [b"\xff\x03second"]
+        assert frames == [b"\xff\x03second"]
         assert delineator.stats.fcs_errors == 0
         assert delineator.stats.octets_discarded_hunting > 0
 
@@ -45,15 +44,16 @@ class TestHunting:
 class TestStreaming:
     def test_byte_at_a_time(self, delineator, framer):
         content = b"\xff\x03" + bytes(range(64))
+        frames = []
         for octet in framer.encode(content):
-            delineator.push(octet)
-        assert [f.content for f in delineator.frames] == [content]
+            frames += delineator.push_bytes(bytes([octet]))
+        assert frames == [content]
 
     def test_back_to_back_frames(self, delineator, framer):
         contents = [b"\xff\x03" + bytes([i]) * 10 for i in range(5)]
         stream = framer.encode_stream(contents)
         frames = delineator.push_bytes(stream)
-        assert [f.content for f in frames] == contents
+        assert frames == contents
         assert delineator.stats.frames_ok == 5
 
     def test_idle_flags_are_not_frames(self, delineator):
@@ -78,10 +78,19 @@ class TestErrorAccounting:
         delineator.push_bytes(bytes(wire))
         assert delineator.stats.fcs_errors == 1
         assert delineator.stats.frames_ok == 0
+        # A 7D 7D pair no conforming sender makes destuffs to 5D, as
+        # in the cycle RX, and fails the FCS.
+        delineator.push_bytes(bytes([0x7E, 0x41, 0x7D, 0x7D, 0x42, 0x43, 0x44, 0x7E]))
+        assert delineator.stats.fcs_errors == 2
+        assert delineator.stats.framing_errors == 0
 
     def test_abort_counted(self, delineator):
         delineator.push_bytes(bytes([0x7E, 0x41, 0x42, 0x7D, 0x7E]))
         assert delineator.stats.aborts == 1
+        # Any body whose last octet is the escape is an abort.
+        delineator.push_bytes(bytes([0x41, 0x42, 0x7D, 0x7D, 0x7E]))
+        assert delineator.stats.aborts == 2
+        assert delineator.stats.framing_errors == 0
 
     def test_runt_counted(self, delineator):
         delineator.push_bytes(bytes([0x7E, 0x41, 0x42, 0x7E]))
@@ -94,8 +103,20 @@ class TestErrorAccounting:
         assert delineator.stats.framing_errors == 1
         assert not delineator.in_sync
 
+    def test_mru_guards_good_frames(self, framer):
+        delineator = Delineator(framer=HdlcFramer(CRC32, max_content=16))
+        long_frame = HdlcFramer(CRC32).encode(b"\xff\x03" + bytes(20))
+        assert delineator.push_bytes(long_frame) == []
+        assert delineator.stats.oversize == 1
+        # A damaged frame under the cut is an FCS error, however long.
+        damaged = bytearray(long_frame)
+        damaged[5] ^= 0x01
+        delineator.push_bytes(bytes(damaged))
+        assert delineator.stats.oversize == 1
+        assert delineator.stats.fcs_errors == 1
+
     def test_flush_when_empty_is_clean(self, delineator):
-        delineator.push(0x7E)
+        delineator.push_bytes(b"\x7e")
         delineator.flush()
         assert delineator.stats.framing_errors == 0
 

@@ -10,7 +10,7 @@ from repro.errors import (
     OversizeFrameError,
     RuntFrameError,
 )
-from repro.hdlc import FLAG_OCTET, HdlcFramer
+from repro.hdlc import FLAG_OCTET, Delineator, HdlcFramer
 
 
 @pytest.fixture(params=[CRC16_X25, CRC32], ids=["fcs16", "fcs32"])
@@ -85,7 +85,7 @@ class TestDecode:
     def test_runt_rejected(self, framer):
         # A frame of just an FCS-sized body is a runt.
         with pytest.raises(RuntFrameError):
-            framer.decode_body(bytes(framer.fcs_octets))
+            framer.decode(b"\x7e" + bytes(framer.fcs_octets) + b"\x7e")
 
     def test_oversize_rejected(self):
         framer = HdlcFramer(CRC32, max_content=64)
@@ -113,22 +113,24 @@ class TestDecode:
 
 
 class TestDecodeStream:
+    """A framer's stream decodes through a :class:`Delineator`."""
+
     def test_multiple_frames(self, framer):
         contents = [b"\xff\x03a", b"\xff\x03bb", b"\xff\x03" + bytes([0x7E] * 5)]
         wire = framer.encode_stream(contents)
-        decoded = framer.decode_stream(wire)
-        assert [f.content for f in decoded] == contents
+        assert Delineator(framer=framer).push_bytes(wire) == contents
 
     def test_idle_flags_skipped(self, framer):
         content = b"\xff\x03data"
         wire = bytes([FLAG_OCTET] * 5) + framer.encode(content) + bytes([FLAG_OCTET] * 3)
-        decoded = framer.decode_stream(wire)
-        assert len(decoded) == 1 and decoded[0].content == content
+        assert Delineator(framer=framer).push_bytes(wire) == [content]
 
     def test_unterminated_stream_rejected(self, framer):
         wire = framer.encode(b"\xff\x03data")[:-1]  # drop closing flag
-        with pytest.raises(FramingError):
-            framer.decode_stream(wire)
+        delineator = Delineator(framer=framer)
+        assert delineator.push_bytes(wire) == []
+        delineator.flush()
+        assert delineator.stats.framing_errors == 1
 
     def test_empty_stream(self, framer):
-        assert framer.decode_stream(b"") == []
+        assert Delineator(framer=framer).push_bytes(b"") == []

@@ -8,6 +8,7 @@ promises: *gigabit IP over SDH/SONET*.
 import pytest
 
 from repro.core import P5Config, run_duplex_exchange
+from repro.hdlc import Delineator
 from repro.ipv4 import Ipv4Datagram
 from repro.phy import BitErrorLine
 from repro.ppp import (
@@ -60,14 +61,14 @@ class TestPppOverSonetWithNegotiation:
                 if content_wire:
                     # Endpoint produces HDLC wire; re-queue the raw PPP
                     # contents so the SONET path frames them itself.
-                    for frame in a.tx_framer.decode_stream(content_wire):
-                        path_ab.queue_frame(frame.content)
+                    for content in Delineator(framer=a.tx_framer).push_bytes(content_wire):
+                        path_ab.queue_frame(content)
             for recovered in path_ab.receive_line(path_ab.next_line_frame()):
                 b.receive_wire(b.rx_framer.encode(recovered))
             wire = b.pump()
             if wire:
-                for frame in b.tx_framer.decode_stream(wire):
-                    path_ba.queue_frame(frame.content)
+                for content in Delineator(framer=b.tx_framer).push_bytes(wire):
+                    path_ba.queue_frame(content)
             for recovered in path_ba.receive_line(path_ba.next_line_frame()):
                 a.receive_wire(a.rx_framer.encode(recovered))
             if a.network_ready() and b.network_ready():

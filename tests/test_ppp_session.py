@@ -4,6 +4,7 @@ import pytest
 
 from repro.crc import CRC16_X25, CRC32
 from repro.errors import NegotiationError
+from repro.hdlc import HdlcFramer
 from repro.ppp import (
     IpcpConfig,
     LcpConfig,
@@ -113,6 +114,27 @@ class TestFcsSwitching:
         a.send_datagram(b"after switch")
         b.receive_wire(a.pump())
         assert b.datagrams_in.popleft()[1] == b"after switch"
+
+    def test_frame_spanning_a_reprogram_decodes_with_the_new_framer(self):
+        """The open frame is carried across the write of a new receive
+        framer, as LCP's FCS and MRU results are applied, so the framer
+        in place when its closing flag arrives decides it."""
+        endpoint = PppEndpoint("rx", fcs_spec=CRC32, magic_seed=1)
+        new = HdlcFramer(CRC16_X25, max_content=64 + 8)
+        ip = b"\xff\x03\x00\x21"
+        wires = [
+            new.encode(ip + bytes(40)),  # good under the new framer
+            new.encode(ip + bytes(100)),  # over the new MRU
+            HdlcFramer(CRC32).encode(ip + bytes(40)),  # the old FCS
+        ]
+        for wire in wires:
+            endpoint.rx_framer = endpoint.delineator.framer = HdlcFramer(CRC32)
+            endpoint.receive_wire(wire[: len(wire) // 2])
+            endpoint.rx_framer = endpoint.delineator.framer = new
+            endpoint.receive_wire(wire[len(wire) // 2:])
+        stats = endpoint.delineator.stats
+        assert (stats.frames_ok, stats.oversize, stats.fcs_errors) == (1, 1, 1)
+        assert endpoint.counters.frames_rx == 1
 
     def test_default_keeps_constructor_fcs(self):
         a, b = make_pair()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fastpath import FastpathRxResult
+from repro.hdlc import RxResult
 from repro.resilience import (
     PROTECT,
     WORKING,
@@ -22,11 +22,11 @@ from repro.sonet.aps import ApsRequest
 
 
 def clean(expected=17):
-    return HealthSample(expected, FastpathRxResult(frames_ok=expected))
+    return HealthSample(expected, RxResult(frames_ok=expected))
 
 
 def dark(expected=17):
-    return HealthSample(expected, FastpathRxResult(), lqr_seen=False)
+    return HealthSample(expected, RxResult(), lqr_seen=False)
 
 
 class TestHealthEngine:
@@ -44,14 +44,14 @@ class TestHealthEngine:
     def test_single_fcs_error_is_tolerated(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            17, FastpathRxResult(frames_ok=16, fcs_errors=1),
+            17, RxResult(frames_ok=16, fcs_errors=1),
         ))
         assert state is LaneState.OK
 
     def test_errored_interval_degrades_not_fails(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            17, FastpathRxResult(
+            17, RxResult(
                 frames_ok=15, fcs_errors=2, aborts=1, runt_frames=1,
                 octets_discarded_hunting=12,
             ),
@@ -84,14 +84,14 @@ class TestHealthEngine:
     def test_lqr_silence_and_loss_are_symptoms(self):
         engine = HealthEngine("working")
         state = engine.update(HealthSample(
-            17, FastpathRxResult(frames_ok=17),
+            17, RxResult(frames_ok=17),
             lqr_seen=False, outbound_loss=0.5,
         ))
         assert state is LaneState.DEGRADED
 
     def test_idle_interval_judged_by_symptoms_only(self):
         engine = HealthEngine("working")
-        assert engine.update(HealthSample(0, FastpathRxResult())) is LaneState.OK
+        assert engine.update(HealthSample(0, RxResult())) is LaneState.OK
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,11 @@
 """Integration tests: PPP over SONET (RFC 1619 / RFC 2615)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.ppp import PppEndpoint
 from repro.sonet import PppOverSonet
 from repro.workloads import ppp_frame_contents
 
@@ -71,3 +75,58 @@ class TestMisalignment:
         # frame is lost to HDLC hunting; everything after is intact.
         assert got == frames[1:]
         assert path.hdlc_stats.octets_discarded_hunting > 0
+
+
+class TestBoundedReceiverState:
+    """A long-lived receiver holds one open frame, not its history."""
+
+    LINE_FRAMES = 1050
+
+    @staticmethod
+    def _held_growth(step, calls):
+        """Traced memory held after ``calls`` calls of ``step`` beyond
+        what was held after the first 50 (``step`` keeps nothing
+        itself, and per-frame state that is replaced nets out)."""
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                step()
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(calls - 50):
+                step()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_pos_path_memory_does_not_grow_with_frames(self):
+        path = PppOverSonet(3)
+        # About 1,900 of the line frame's 2,340 payload octets: the TX
+        # queue stays empty, so only the receiver could hold more.
+        contents = [b"\xff\x03\x00\x21" + bytes([i]) * 200 for i in range(9)]
+        delivered = [0]
+
+        def step():
+            for content in contents:
+                path.queue_frame(content)
+            delivered[0] += len(path.receive_line(path.next_line_frame()))
+
+        growth = self._held_growth(step, self.LINE_FRAMES)
+        assert path.tx_backlog_frames == 0
+        assert delivered[0] >= 9 * self.LINE_FRAMES
+        assert growth < 8 * 1024, f"{growth} octets held after {delivered[0]} frames"
+
+    def test_ppp_endpoint_memory_does_not_grow_with_frames(self):
+        endpoint = PppEndpoint("rx", magic_seed=1)
+        wire = b"".join(
+            endpoint.rx_framer.encode(b"\xff\x03\x00\x21" + bytes([i]) * 200)
+            for i in range(9)
+        )
+
+        def step():
+            endpoint.receive_wire(wire)
+
+        growth = self._held_growth(step, self.LINE_FRAMES)
+        assert endpoint.counters.frames_rx == 9 * self.LINE_FRAMES
+        assert growth < 8 * 1024, f"{growth} octets held"

@@ -74,3 +74,31 @@ def test_ppp_over_sonet_delivery(frames, scrambling):
             break
     assert got == contents
     assert path.hdlc_stats.total_errors() == 0
+
+
+def _bits(data):
+    return [(octet >> (7 - k)) & 1 for octet in data for k in range(8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=st.binary(max_size=12),
+    data=st.binary(max_size=80),
+    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+)
+def test_selfsync_matches_the_per_bit_recurrence(prefix, data, cuts):
+    """Both directions, bit for bit, against the x^43+1 recurrences
+    written out per bit: ``out[i] = in[i] ^ out[i-43]`` to scramble,
+    ``out[i] = in[i] ^ in[i-43]`` to descramble.  ``data`` is fed in
+    arbitrary pieces (empty ones and ones under 43 bits included)
+    after ``prefix``, which leaves carried state (none when empty)."""
+    bits = _bits(prefix + data)
+    scrambled = []
+    for i, bit in enumerate(bits):
+        scrambled.append(bit ^ (scrambled[i - 43] if i >= 43 else 0))
+    descrambled = [bit ^ (bits[i - 43] if i >= 43 else 0) for i, bit in enumerate(bits)]
+    bounds = [0] + sorted(c for c in cuts if c <= len(data)) + [len(data)]
+    pieces = [prefix] + [data[a:b] for a, b in zip(bounds, bounds[1:])]
+    tx, rx = SelfSyncScrambler(), SelfSyncScrambler()
+    assert _bits(b"".join(tx.scramble(p) for p in pieces)) == scrambled
+    assert _bits(b"".join(rx.descramble(p) for p in pieces)) == descrambled
