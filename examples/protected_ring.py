@@ -13,8 +13,8 @@ Run:  python examples/protected_ring.py
 """
 
 from repro.hdlc import Delineator, HdlcFramer
+from repro.resilience import PROTECT, ApsRequest, ProtectionSelector
 from repro.sonet import SonetFramer, SonetRxFramer
-from repro.sonet.aps import ApsRequest, ProtectionSelector
 from repro.workloads import ppp_frame_contents
 
 
@@ -50,9 +50,9 @@ def main() -> None:
         payload = selector.receive_frame(working, wire)
         recovered += delineator.push_bytes(payload)
         marker = ""
-        if selector.switch_events and selector.switch_events[-1][0] == frame_no:
-            _, target, kind = selector.switch_events[-1]
-            marker = f"  <-- APS switch to {target} ({kind.name})"
+        if selector.switches and selector.switches[-1].interval == frame_no:
+            record = selector.switches[-1]
+            marker = f"  <-- APS switch to {record.to_lane} ({record.request.name})"
         if frame_no <= cut_at + 3 or marker:
             print(f"  frame {frame_no:2d}: active={selector.active:<10} "
                   f"K1=0x{selector.k1_byte():02X} "
@@ -63,8 +63,8 @@ def main() -> None:
     print(f"\nrecovered {len(recovered)}/{len(frames)} PPP frames, "
           f"FCS errors: {delineator.stats.fcs_errors}")
     assert recovered == frames, "the bridged protection path loses nothing"
-    assert selector.active == "protection"
-    assert any(k is ApsRequest.SIGNAL_FAIL for _, _, k in selector.switch_events)
+    assert selector.active == PROTECT
+    assert any(r.request is ApsRequest.SIGNAL_FAIL for r in selector.switches)
     print("protected_ring OK: fibre cut absorbed with zero frame loss.")
 
 

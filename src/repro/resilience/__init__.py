@@ -8,8 +8,9 @@ as one long-lived 1+1 protected session:
 
 * per-lane health scoring with SD/SF hysteresis
   (:mod:`repro.resilience.health`);
-* APS-style switchover with hold-off and wait-to-restore timers,
-  signalling the same K1/K2 vocabulary as :mod:`repro.sonet.aps`
+* the package's one 1+1 APS state machine, with hold-off and
+  wait-to-restore timers and K1/K2 signalling, plus a frame-level
+  selector that runs it over two SONET receive framers
   (:mod:`repro.resilience.aps`);
 * a bounded-retry recovery ladder — resync, flush, LCP renegotiate,
   lane switch, quarantine (:mod:`repro.resilience.ladder`);
@@ -21,7 +22,14 @@ as one long-lived 1+1 protected session:
 ``repro resilience --soak`` drives all of it from the CLI.
 """
 
-from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
+from repro.resilience.aps import (
+    PROTECT,
+    WORKING,
+    ApsController,
+    ApsRequest,
+    ProtectionSelector,
+    SwitchRecord,
+)
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog, ResilienceEvent
 from repro.resilience.guard import FastpathGuard, GuardMode
@@ -37,6 +45,7 @@ from repro.resilience.wire import LaneWire
 
 __all__ = [
     "ApsController",
+    "ApsRequest",
     "ChaosEvent",
     "EventLog",
     "FastpathGuard",
@@ -48,6 +57,7 @@ __all__ = [
     "LaneWire",
     "LinkSupervisor",
     "PROTECT",
+    "ProtectionSelector",
     "RecoveryLadder",
     "RecoveryStep",
     "ResilienceEvent",

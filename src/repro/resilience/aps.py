@@ -1,11 +1,14 @@
-"""1+1 APS switchover control for the supervised link.
+"""Linear 1+1 automatic protection switching (GR-253 §5.3, simplified).
 
-This is the head/tail protection logic GR-253 puts behind the K1/K2
-line-overhead bytes, driven here by the health engine's lane states
-instead of raw framer counters (the SONET-layer selector in
-:mod:`repro.sonet.aps` already models that lower level; this module
-reuses its :class:`~repro.sonet.aps.ApsRequest` code points so both
-layers signal the same vocabulary).
+Real OC-48 deployments — the paper's target environment — never run a
+single unprotected fibre: the head end *bridges* the signal onto a
+working and a protect line, and the tail end selects whichever is
+healthy, signalling its choice back through the K1/K2 line-overhead
+bytes.  :class:`ApsController` is that tail-end state machine, and the
+only one in the package.  It judges :class:`LaneState` values: the
+supervised link feeds it the health engine's per-interval verdicts,
+and :class:`ProtectionSelector` feeds it per-frame verdicts read off
+two SONET receive framers.
 
 Three timers shape every decision:
 
@@ -22,18 +25,29 @@ Three timers shape every decision:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.resilience.events import EventLog
 from repro.resilience.health import LaneState
-from repro.sonet.aps import ApsRequest
+from repro.sonet.rx_framer import FramerState, SonetRxFramer
 
-__all__ = ["SwitchRecord", "ApsController"]
+__all__ = ["ApsRequest", "SwitchRecord", "ApsController", "ProtectionSelector"]
 
 WORKING = "working"
 PROTECT = "protect"
+
+
+class ApsRequest(enum.IntEnum):
+    """K1 bits 1-4 request codes (subset)."""
+
+    NO_REQUEST = 0b0000
+    WAIT_TO_RESTORE = 0b0110
+    SIGNAL_DEGRADE = 0b1010
+    SIGNAL_FAIL = 0b1100
+    FORCED_SWITCH = 0b1110
 
 
 @dataclass(frozen=True)
@@ -203,3 +217,63 @@ class ApsController:
             )
             return None
         return self._switch(interval, ApsRequest.FORCED_SWITCH, reason)
+
+
+class ProtectionSelector(ApsController):
+    """Frame-level tail-end selector over two SONET receive framers.
+
+    Feed both fibres' bytes every frame with :meth:`receive_frame`; it
+    returns the payload of the selected line.  Frames are the
+    controller's intervals, with a one-frame hold-off and a one-frame
+    wait-to-restore.  A line is FAILED while out of frame or on a new
+    OOF event, and DEGRADED after ``degrade_threshold`` consecutive
+    B2-errored frames.  1+1 defaults to non-revertive.  ``frame_no``
+    counts the frames fed so far; it is the interval to pass to
+    :meth:`force_switch`.
+    """
+
+    def __init__(
+        self,
+        working: SonetRxFramer,
+        protection: SonetRxFramer,
+        *,
+        degrade_threshold: int = 3,
+        revertive: bool = False,
+    ) -> None:
+        super().__init__(hold_off=1, wait_to_restore=1, revertive=revertive)
+        self.lines = {WORKING: working, PROTECT: protection}
+        self.degrade_threshold = degrade_threshold
+        self.frame_no = 0
+        self._oof = {name: line.counters.oof_events for name, line in self.lines.items()}
+        self._b2 = {name: line.counters.b2_errors for name, line in self.lines.items()}
+        self._b2_streak = dict.fromkeys(self.lines, 0)
+
+    def receive_frame(self, working_bytes: bytes, protection_bytes: bytes) -> bytes:
+        """Feed one frame period from both fibres; the selected payload.
+
+        The head end bridges the same signal onto both, so switching
+        between aligned lines loses no data.
+        """
+        self.frame_no += 1
+        payloads = {
+            WORKING: self.lines[WORKING].feed(working_bytes),
+            PROTECT: self.lines[PROTECT].feed(protection_bytes),
+        }
+        self.evaluate(self.frame_no, self._state(WORKING), self._state(PROTECT))
+        return payloads[self.active]
+
+    def _state(self, name: str) -> LaneState:
+        line = self.lines[name]
+        counters = line.counters
+        new_oof = counters.oof_events > self._oof[name]
+        self._oof[name] = counters.oof_events
+        if counters.b2_errors > self._b2[name]:
+            self._b2_streak[name] += 1
+        else:
+            self._b2_streak[name] = 0
+        self._b2[name] = counters.b2_errors
+        if new_oof or line.state is FramerState.HUNT:
+            return LaneState.FAILED
+        if self._b2_streak[name] >= self.degrade_threshold:
+            return LaneState.DEGRADED
+        return LaneState.OK

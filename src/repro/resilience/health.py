@@ -11,7 +11,7 @@ selector.
 
 The thresholds mirror GR-253's SD/SF split: *signal fail* is the hard
 condition (lane effectively dark), *signal degrade* the soft one
-(errored but passing traffic).  Recovery requires ``recover_intervals``
+(errored but passing traffic).  Recovery requires ``RECOVER_INTERVALS``
 consecutive clean scores above the corresponding *exit* threshold —
 the hysteresis gap is what keeps a lane from oscillating between
 states on a score hovering at the boundary.
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from repro.errors import ConfigError
 from repro.hdlc.receiver import RxResult
 
 __all__ = ["LaneState", "HealthSample", "HealthEngine"]
@@ -56,52 +55,30 @@ class HealthSample:
     contract_violations: int = 0
 
 
+#: Score at or below which a lane *fails*, and at or above which a
+#: failed lane may begin recovering.
+SF_ENTER = 0.35
+SF_EXIT = 0.75
+#: The analogous signal-degrade pair.
+SD_ENTER = 0.70
+SD_EXIT = 0.90
+#: Consecutive intervals above the exit threshold required to step the
+#: state back up (FAILED -> DEGRADED -> OK).
+RECOVER_INTERVALS = 2
+
+
 class HealthEngine:
     """Folds :class:`HealthSample` streams into a lane state.
 
-    Parameters
-    ----------
-    name:
-        Lane name, echoed in ``describe()`` output.
-    sf_enter / sf_exit:
-        Score at or below which the lane *fails*, and at or above
-        which a failed lane may begin recovering.
-    sd_enter / sd_exit:
-        The analogous signal-degrade pair.
-    recover_intervals:
-        Consecutive intervals above the exit threshold required to
-        step the state back up (FAILED -> DEGRADED -> OK).
+    ``name`` is the lane name, echoed in ``describe()`` output.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        sf_enter: float = 0.35,
-        sf_exit: float = 0.75,
-        sd_enter: float = 0.70,
-        sd_exit: float = 0.90,
-        recover_intervals: int = 2,
-    ) -> None:
-        if not (0.0 <= sf_enter < sf_exit <= 1.0):
-            raise ConfigError("need 0 <= sf_enter < sf_exit <= 1")
-        if not (0.0 <= sd_enter < sd_exit <= 1.0):
-            raise ConfigError("need 0 <= sd_enter < sd_exit <= 1")
-        if sf_enter > sd_enter:
-            raise ConfigError("signal-fail must be stricter than signal-degrade")
-        if recover_intervals < 1:
-            raise ConfigError("recover_intervals must be >= 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.sf_enter = sf_enter
-        self.sf_exit = sf_exit
-        self.sd_enter = sd_enter
-        self.sd_exit = sd_exit
-        self.recover_intervals = recover_intervals
         self.state = LaneState.OK
         self.score = 1.0
         self.samples = 0
         self._good_streak = 0
-        self.scores: List[float] = []
 
     # ----------------------------------------------------------------- scoring
     def score_sample(self, sample: HealthSample) -> float:
@@ -128,33 +105,32 @@ class HealthEngine:
         """Fold one interval's sample; returns the (new) lane state."""
         self.samples += 1
         self.score = self.score_sample(sample)
-        self.scores.append(self.score)
         if self.state is LaneState.OK:
             self._good_streak = 0
-            if self.score <= self.sf_enter:
+            if self.score <= SF_ENTER:
                 self.state = LaneState.FAILED
-            elif self.score <= self.sd_enter:
+            elif self.score <= SD_ENTER:
                 self.state = LaneState.DEGRADED
         elif self.state is LaneState.DEGRADED:
-            if self.score <= self.sf_enter:
+            if self.score <= SF_ENTER:
                 self.state = LaneState.FAILED
                 self._good_streak = 0
-            elif self.score >= self.sd_exit:
+            elif self.score >= SD_EXIT:
                 self._good_streak += 1
-                if self._good_streak >= self.recover_intervals:
+                if self._good_streak >= RECOVER_INTERVALS:
                     self.state = LaneState.OK
                     self._good_streak = 0
             else:
                 self._good_streak = 0
         else:  # FAILED
-            if self.score >= self.sf_exit:
+            if self.score >= SF_EXIT:
                 self._good_streak += 1
-                if self._good_streak >= self.recover_intervals:
+                if self._good_streak >= RECOVER_INTERVALS:
                     self.state = LaneState.DEGRADED
-                    # A streak that also clears sd_exit keeps counting
+                    # A streak that also clears SD_EXIT keeps counting
                     # toward OK rather than starting over.
-                    if self.score >= self.sd_exit:
-                        self._good_streak = self.recover_intervals - 1
+                    if self.score >= SD_EXIT:
+                        self._good_streak = RECOVER_INTERVALS - 1
                     else:
                         self._good_streak = 0
             else:

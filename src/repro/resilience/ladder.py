@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.resilience.events import EventLog
@@ -47,6 +47,9 @@ LADDER = (
     RecoveryStep.SWITCH,
     RecoveryStep.QUARANTINE,
 )
+#: Backoff before the second attempt, in intervals; it doubles with
+#: every escalation up to ``backoff_cap``.
+BACKOFF_BASE = 1
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,6 @@ class LadderAction:
     attempt: int           # 1-based attempt number within the rung
     backoff: int           # intervals until the next attempt may fire
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "interval": self.interval,
-            "step": self.step.value,
-            "attempt": self.attempt,
-            "backoff": self.backoff,
-        }
-
 
 class RecoveryLadder:
     """Escalation scheduler for one protected link."""
@@ -74,7 +69,6 @@ class RecoveryLadder:
         self,
         *,
         retries_per_step: int = 2,
-        backoff_base: int = 1,
         backoff_cap: int = 8,
         jitter: int = 1,
         seed: SeedLike = None,
@@ -82,12 +76,11 @@ class RecoveryLadder:
     ) -> None:
         if retries_per_step < 1:
             raise ConfigError("retries_per_step must be >= 1")
-        if backoff_base < 1 or backoff_cap < backoff_base:
-            raise ConfigError("need 1 <= backoff_base <= backoff_cap")
+        if backoff_cap < BACKOFF_BASE:
+            raise ConfigError(f"backoff_cap must be >= {BACKOFF_BASE}")
         if jitter < 0:
             raise ConfigError("jitter must be >= 0")
         self.retries_per_step = retries_per_step
-        self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.jitter = jitter
         self.log = log if log is not None else EventLog()
@@ -96,7 +89,6 @@ class RecoveryLadder:
         self._attempt = 0
         self._escalations = 0
         self._next_allowed = 0
-        self.actions: List[LadderAction] = []
 
     # ------------------------------------------------------------------ views
     @property
@@ -110,7 +102,7 @@ class RecoveryLadder:
     # ---------------------------------------------------------------- actions
     def _backoff(self) -> int:
         """Exponential in total escalations, capped, plus seeded jitter."""
-        base = min(self.backoff_cap, self.backoff_base * (2 ** self._escalations))
+        base = min(self.backoff_cap, BACKOFF_BASE * (2 ** self._escalations))
         extra = int(self._rng.integers(0, self.jitter + 1)) if self.jitter else 0
         return base + extra
 
@@ -135,7 +127,6 @@ class RecoveryLadder:
             attempt=self._attempt,
             backoff=backoff,
         )
-        self.actions.append(action)
         self.log.record(
             interval, "ladder", lane, step.value,
             attempt=self._attempt, backoff=backoff,

@@ -34,15 +34,14 @@ that kept passing traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import P5Config
 from repro.errors import LinkDownError, ProtocolError
-from repro.hdlc.receiver import RxResult
 from repro.ppp.fsm import Event, FsmActions, NegotiationFsm, State
 from repro.ppp.lqm import LinkQualityMonitor
-from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
+from repro.resilience.aps import PROTECT, WORKING, ApsController, ApsRequest, SwitchRecord
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog
 from repro.resilience.guard import FastpathGuard, GuardMode
@@ -66,19 +65,13 @@ FRAME_DATA = 0x44  # 'D'
 FRAME_LQR = 0x51   # 'Q'
 _HEADER_OCTETS = 5  # type + 32-bit sequence/interval number
 
-#: Fixed soak parameters (the component classes keep their own knobs).
+#: Fixed soak parameters (the components' own defaults cover the rest).
 #: Data payload size range, in octets.
 FRAME_OCTETS: Tuple[int, int] = (24, 72)
 MAX_FRAME_OCTETS = 512
 #: Fastpath guard: spot-check cadence and clean intervals to reinstate.
 CHECK_EVERY = 8
 REINSTATE_AFTER = 3
-#: Health: consecutive good intervals before a lane counts as recovered.
-RECOVER_INTERVALS = 2
-#: Recovery ladder: attempts per rung and backoff ceiling (intervals).
-RETRIES_PER_STEP = 2
-BACKOFF_CAP = 8
-REVERTIVE = True
 #: Cycle-engine watchdog for the guard's golden runs, in cycles.
 TIMEOUT = 2_000_000
 
@@ -136,17 +129,12 @@ class SoakViolation:
 
 @dataclass
 class LaneDelivery:
-    """What one lane handed the selector this interval."""
+    """What one lane handed the selector this interval, and what the
+    interval showed about the lane."""
 
-    data: List[Tuple[int, bytes]] = field(default_factory=list)
-    bad_frames: int = 0
-    unparsable: List[bytes] = field(default_factory=list)
-    lqr_seen: bool = False
-    outbound_loss: float = 0.0
-    inbound_loss: float = 0.0
-    rx: RxResult = field(default_factory=RxResult)
-    #: Timing-contract findings the lane's cycle receiver raised.
-    contract_violations: int = 0
+    sample: HealthSample
+    data: List[Tuple[int, bytes]]
+    unparsable: List[bytes]
 
 
 class Lane:
@@ -167,7 +155,7 @@ class Lane:
             log=log,
             timeout=TIMEOUT,
         )
-        self.health = HealthEngine(name, recover_intervals=RECOVER_INTERVALS)
+        self.health = HealthEngine(name)
         magic = (seed * 2654435761) & 0xFFFFFFFF
         self.head_lqm = LinkQualityMonitor(magic=magic or 1)
         self.tail_lqm = LinkQualityMonitor(magic=(magic ^ 0x5A5A5A5A) or 2)
@@ -243,13 +231,12 @@ class Lane:
         violations = self.guard.contract_violations
         rx = self.guard.decode(arrived, interval)
 
-        delivery = LaneDelivery(
-            rx=rx,
-            contract_violations=self.guard.contract_violations - violations,
-        )
+        data: List[Tuple[int, bytes]] = []
+        unparsable: List[bytes] = []
+        lqr_seen = False
+        outbound_loss = inbound_loss = 0.0
         for content, good in rx.frames:
             if not good:
-                delivery.bad_frames += 1
                 self.tail_lqm.count_rx_error()
                 continue
             kind = content[0] if content else 0
@@ -260,29 +247,27 @@ class Lane:
                 verdict = self.head_lqm.receive_report(
                     self.tail_lqm.build_report()
                 )
-                delivery.lqr_seen = True
+                lqr_seen = True
                 if verdict is not None:
-                    delivery.outbound_loss = verdict.outbound_loss
-                    delivery.inbound_loss = verdict.inbound_loss
+                    outbound_loss = verdict.outbound_loss
+                    inbound_loss = verdict.inbound_loss
             elif kind == FRAME_DATA and len(content) > _HEADER_OCTETS:
                 self.tail_lqm.count_rx(len(content))
                 seq = int.from_bytes(content[1:_HEADER_OCTETS], "big")
-                delivery.data.append((seq, content[_HEADER_OCTETS:]))
+                data.append((seq, content[_HEADER_OCTETS:]))
             else:
                 # Good FCS but an impossible header: corrupted payload
                 # that slipped delineation — the selector must flag it.
-                delivery.unparsable.append(content)
-        return delivery
-
-    def sample_from(self, delivery: LaneDelivery, expected: int) -> HealthSample:
-        return HealthSample(
-            expected_frames=expected,
-            rx=delivery.rx,
-            lqr_seen=delivery.lqr_seen,
-            outbound_loss=delivery.outbound_loss,
-            inbound_loss=delivery.inbound_loss,
-            contract_violations=delivery.contract_violations,
+                unparsable.append(content)
+        sample = HealthSample(
+            expected_frames=len(payloads) + 1,  # data + the LQR control frame
+            rx=rx,
+            lqr_seen=lqr_seen,
+            outbound_loss=outbound_loss,
+            inbound_loss=inbound_loss,
+            contract_violations=self.guard.contract_violations - violations,
         )
+        return LaneDelivery(sample, data, unparsable)
 
 
 @dataclass
@@ -333,12 +318,9 @@ class LinkSupervisor:
         self.aps = ApsController(
             hold_off=self.cfg.hold_off,
             wait_to_restore=self.cfg.wait_to_restore,
-            revertive=REVERTIVE,
             log=self.log,
         )
         self.ladder = RecoveryLadder(
-            retries_per_step=RETRIES_PER_STEP,
-            backoff_cap=BACKOFF_CAP,
             seed=[self.cfg.seed, 0x1ADD],
             log=self.log,
         )
@@ -475,16 +457,15 @@ class LinkSupervisor:
         """One full supervision cycle."""
         self._apply_chaos(interval)
         batch = self._make_batch(interval)
-        expected = len(batch) + 1  # data + the LQR control frame
         deliveries = {
             name: lane.transmit_interval(interval, batch)
             for name, lane in self.lanes.items()
         }
         self._select(interval, deliveries[self.aps.active])
-        states: Dict[str, LaneState] = {}
-        for name, lane in self.lanes.items():
-            sample = lane.sample_from(deliveries[name], expected)
-            states[name] = lane.health.update(sample)
+        states = {
+            name: lane.health.update(deliveries[name].sample)
+            for name, lane in self.lanes.items()
+        }
         self.aps.evaluate(interval, states[WORKING], states[PROTECT])
         self._run_ladder(interval, states)
 
@@ -549,12 +530,12 @@ class LinkSupervisor:
 
         reversions = sum(
             1 for r in self.aps.switches
-            if r.to_lane == WORKING and r.request.name == "WAIT_TO_RESTORE"
+            if r.to_lane == WORKING and r.request is ApsRequest.WAIT_TO_RESTORE
         )
         working_cuts = [
             e for e in self.chaos if e.kind == "cut" and e.lane == WORKING
         ]
-        if REVERTIVE and working_cuts:
+        if self.aps.revertive and working_cuts:
             if reversions < 1:
                 violations.append(SoakViolation(
                     "no-reversion",

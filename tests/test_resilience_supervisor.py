@@ -1,17 +1,19 @@
 """LinkSupervisor: chaos soaks, failover, recovery, and the verdicts."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import LinkDownError
 from repro.resilience import (
     PROTECT,
     WORKING,
+    ApsRequest,
     ChaosEvent,
     LinkSupervisor,
     SupervisorConfig,
 )
 from repro.resilience.guard import GuardMode
-from repro.sonet.aps import ApsRequest
 
 
 def small_config(**overrides):
@@ -88,6 +90,34 @@ class TestChaosSoak:
     def test_lcp_ends_opened_on_both_lanes(self, soak_result):
         for lane in soak_result.lanes.values():
             assert lane["lcp_state"] == "OPENED"
+
+    def test_decisions_are_golden(self, soak_result):
+        """Every decision of the seed-3 soak, pinned: a change to the
+        health, APS or ladder defaults shows up here first."""
+        assert [
+            (r.interval, r.from_lane, r.to_lane, r.request.name)
+            for r in soak_result.switchovers
+        ] == [
+            (39, WORKING, PROTECT, "SIGNAL_FAIL"),
+            (51, PROTECT, WORKING, "WAIT_TO_RESTORE"),
+            (90, WORKING, PROTECT, "SIGNAL_DEGRADE"),
+            (96, PROTECT, WORKING, "WAIT_TO_RESTORE"),
+            (100, WORKING, PROTECT, "SIGNAL_DEGRADE"),
+            (106, PROTECT, WORKING, "WAIT_TO_RESTORE"),
+        ]
+        assert (
+            soak_result.frames_submitted,
+            soak_result.frames_delivered,
+            soak_result.frames_lost,
+        ) == (480, 471, 9)
+        assert {
+            name: [q["interval"] for q in lane["guard"]["quarantines"]]
+            for name, lane in soak_result.lanes.items()
+        } == {WORKING: [89], PROTECT: []}
+        ladder = Counter(
+            e.kind for e in soak_result.log.events if e.category == "ladder"
+        )
+        assert ladder == {"resync": 3, "reset": 3}
 
 
 class TestLinkDown:

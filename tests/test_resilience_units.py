@@ -8,6 +8,7 @@ from repro.resilience import (
     PROTECT,
     WORKING,
     ApsController,
+    ApsRequest,
     EventLog,
     HealthEngine,
     HealthSample,
@@ -18,7 +19,6 @@ from repro.resilience import (
     chaos_schedule,
 )
 from repro.resilience.ladder import LADDER
-from repro.sonet.aps import ApsRequest
 
 
 def clean(expected=17):
@@ -60,13 +60,13 @@ class TestHealthEngine:
         assert engine.usable
 
     def test_recovery_needs_consecutive_clean_intervals(self):
-        engine = HealthEngine("working", recover_intervals=2)
+        engine = HealthEngine("working")
         engine.update(dark())
         assert engine.state is LaneState.FAILED
         # One clean interval is not enough...
         engine.update(clean())
         assert engine.state is LaneState.FAILED
-        # ...two consecutive are; a clean score above sd_exit carries
+        # ...two consecutive are; a clean score above SD_EXIT carries
         # the streak so OK follows one interval later.
         engine.update(clean())
         assert engine.state is LaneState.DEGRADED
@@ -74,7 +74,7 @@ class TestHealthEngine:
         assert engine.state is LaneState.OK
 
     def test_recovery_streak_resets_on_relapse(self):
-        engine = HealthEngine("working", recover_intervals=2)
+        engine = HealthEngine("working")
         engine.update(dark())
         engine.update(clean())
         engine.update(dark())  # relapse
@@ -92,12 +92,6 @@ class TestHealthEngine:
     def test_idle_interval_judged_by_symptoms_only(self):
         engine = HealthEngine("working")
         assert engine.update(HealthSample(0, RxResult())) is LaneState.OK
-
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigError):
-            HealthEngine("x", sf_enter=0.9, sf_exit=0.5)
-        with pytest.raises(ConfigError):
-            HealthEngine("x", recover_intervals=0)
 
 
 class TestApsController:
@@ -193,7 +187,7 @@ class TestRecoveryLadder:
 
     def test_backoff_grows_exponentially_and_caps(self):
         ladder = RecoveryLadder(
-            retries_per_step=1, backoff_base=1, backoff_cap=8,
+            retries_per_step=1, backoff_cap=8,
             jitter=0, seed=1,
         )
         backoffs = []
