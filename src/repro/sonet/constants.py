@@ -16,8 +16,10 @@ FRAMES_PER_SECOND = 8000
 A1 = 0xF6
 A2 = 0x28
 
-#: Default section trace (J0) byte.
+#: Section trace (J0) byte, and the 16-byte path trace that J1
+#: repeats one byte per frame.
 J0_DEFAULT = 0x01
+J1_TRACE = b"repro-path-trace"
 
 #: Path signal label (C2) values for PPP payloads:
 #: RFC 1619 used 0xCF (PPP, no payload scrambling); RFC 2615 defines
@@ -25,7 +27,14 @@ J0_DEFAULT = 0x01
 SONET_C2_PPP = 0xCF
 SONET_C2_PPP_SCRAMBLED = 0x16
 
+#: Path signal label for GFP-mapped payloads (G.707).
+SONET_C2_GFP = 0x1B
+
 #: H1/H2 pointer constants.
 POINTER_MAX = 782            # valid offsets 0..782
 NDF_ENABLED = 0b1001         # new data flag set
 NDF_NORMAL = 0b0110          # normal operation
+
+#: Frame-times of fruitless hunting after an out-of-frame event before
+#: loss of frame is declared (GR-253's 3 ms at 8000 frames/s).
+LOF_FRAMES = 24

@@ -1,25 +1,33 @@
-"""STS-N/STS-Nc frame construction and parsing.
+"""STS-Nc frame layout and frame construction.
 
-A frame is a 9 x 90N byte grid transmitted row-major.  This framer
-implements the overhead subset that matters to a PPP-over-SONET line
-card:
+A frame is a 9 x 90N byte grid transmitted row-major.
+:func:`frame_layout` is the one map from STS level and pointer to byte
+offsets in that flat stream: the payload spans, the path overhead
+column, row/column offsets and the frame-synchronous keystream.  Both
+:class:`SonetFramer` and :class:`~repro.sonet.rx_framer.SonetRxFramer`
+work on flat bytes through it.
+
+The framer implements the overhead subset that matters to a
+PPP-over-SONET line card:
 
 * section overhead: A1/A2 framing, J0 trace, B1 (section BIP-8);
 * line overhead: H1/H2 payload pointer (+ concatenation indications),
-  H3, B2 (line BIP-8xN), K1/K2;
+  H3, B2, K1/K2;
 * path overhead: J1 trace, B3 (path BIP-8), C2 signal label, G1.
 
-B1 covers the *previous* frame after scrambling; B2 covers the
-previous frame's line portion before scrambling; B3 covers the
-previous SPE — all per GR-253, so parity errors localise exactly like
-real equipment sees them.  The frame-synchronous scrambler covers
-everything except row 0 of the section overhead.
+B1 covers the *previous* frame after scrambling and B3 the previous
+SPE, per GR-253.  B2 is one BIP-8 over rows 3-8 of every column of the
+previous frame before scrambling; GR-253's B2 is a BIP-8 per STS-1
+(BIP-8xN, N bytes), which this model folds into one byte.  So parity
+errors localise to a frame like real equipment sees them.  The
+frame-synchronous scrambler covers everything except row 0 of the
+section overhead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,46 +36,107 @@ from repro.sonet.constants import (
     A1,
     A2,
     J0_DEFAULT,
+    J1_TRACE,
     NDF_NORMAL,
     POINTER_MAX,
     ROWS,
     SONET_C2_PPP_SCRAMBLED,
 )
-from repro.sonet.rates import StsRate, fixed_stuff_columns
-from repro.sonet.scrambler import FrameSyncScrambler
+from repro.sonet.rates import StsRate, fixed_stuff_columns, payload_capacity_bytes
+from repro.sonet.scrambler import frame_sync_sequence
 
-__all__ = ["SonetFrame", "SonetFramer"]
+__all__ = ["FrameLayout", "SonetFramer", "frame_layout", "framing_pattern"]
 
 
-def _bip8(data: np.ndarray) -> int:
+def _bip8(octets: np.ndarray) -> int:
     """BIP-8: even parity per bit position over all bytes."""
-    return int(np.bitwise_xor.reduce(data.reshape(-1).astype(np.uint8), axis=None)) \
-        if data.size else 0
+    return int(np.bitwise_xor.reduce(octets))
 
 
-@dataclass
-class SonetFrame:
-    """One transmitted/received frame as a 9 x 90N grid plus metadata."""
+class FrameLayout(NamedTuple):
+    """Byte offsets of one STS-Nc frame carrying one pointer value."""
 
-    grid: np.ndarray                # uint8, shape (9, 90N)
-    n: int                          # STS level
+    columns: int                          # 90N octets per row
+    frame_bytes: int
+    poh: int                              # path overhead column (J1, B3, C2, G1)
+    spans: Tuple[Tuple[int, int], ...]    # payload (start, stop), transmission order
+    toh: np.ndarray                       # offset of every transport overhead octet
+    keystream: np.ndarray                 # frame-sync XOR mask, zero over row 0's TOH
 
-    @property
-    def rate(self) -> StsRate:
-        return StsRate(self.n)
+    def offset(self, row: int, col: int) -> int:
+        return row * self.columns + col
 
-    def to_wire(self) -> bytes:
-        """Row-major serialisation (transmission order)."""
-        return self.grid.astype(np.uint8).tobytes()
+    def parity(self, line: np.ndarray, plain: np.ndarray) -> Tuple[int, int, int]:
+        """(B1, B2, B3) that the *next* frame carries for this one, from
+        its scrambled (``line``) and unscrambled (``plain``) octets: B1
+        over the whole line frame, B2 over rows 3-8, B3 over the SPE
+        (the frame less its transport overhead)."""
+        spe = _bip8(plain) ^ _bip8(plain[self.toh])
+        return _bip8(line), _bip8(plain[3 * self.columns :]), spe
 
-    @classmethod
-    def from_wire(cls, data: bytes, n: int) -> "SonetFrame":
-        rate = StsRate(n)
-        expected = ROWS * rate.columns
-        if len(data) != expected:
-            raise SonetError(f"frame must be {expected} bytes for {rate.name}")
-        grid = np.frombuffer(data, dtype=np.uint8).reshape(ROWS, rate.columns).copy()
-        return cls(grid, n)
+
+@lru_cache(maxsize=None)
+def _keystream(n: int) -> np.ndarray:
+    """The frame-sync XOR mask of an STS-``n`` frame, built once per level."""
+    rate = StsRate(n)
+    unscrambled = rate.toh_columns
+    sequence = frame_sync_sequence(ROWS * rate.columns - unscrambled)
+    return np.frombuffer(bytes(unscrambled) + sequence, dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def frame_layout(n: int, pointer: int) -> FrameLayout:
+    """The layout of an STS-``n``c frame whose H1/H2 carry ``pointer``.
+
+    The POH column sits ``pointer`` columns into the SPE (modulo its
+    width); the ``N/3 - 1`` fixed-stuff columns follow it, wrapping
+    within the SPE.  Every other SPE octet is payload, row by row.
+    """
+    rate = StsRate(n)
+    columns, toh = rate.columns, rate.toh_columns
+    poh = toh + pointer % rate.spe_columns
+    end = poh + fixed_stuff_columns(n) + 1     # first column after POH and stuff
+    if end <= columns:
+        runs = [(toh, poh), (end, columns)]
+    else:                                      # POH and stuff wrap round the SPE
+        runs = [(toh + end - columns, poh)]
+    spans = tuple(
+        (row * columns + start, row * columns + stop)
+        for row in range(ROWS)
+        for start, stop in runs
+        if start < stop
+    )
+    toh_offsets = np.array(
+        [row * columns + col for row in range(ROWS) for col in range(toh)], dtype=np.intp
+    )
+    toh_offsets.setflags(write=False)        # shared by every caller of the cache
+    return FrameLayout(columns, ROWS * columns, poh, spans, toh_offsets, _keystream(n))
+
+
+@lru_cache(maxsize=None)
+def framing_pattern(n: int) -> bytes:
+    """A1 x N then A2 x N: the unscrambled octets that start every
+    frame, and what the receiver's alignment hunts for."""
+    return bytes([A1]) * n + bytes([A2]) * n
+
+
+@lru_cache(maxsize=None)
+def _overhead(n: int, pointer: int, c2: int) -> bytes:
+    """The octets every frame shares: framing, J0, pointer, C2.  K1/K2
+    (APS idle) and G1 (no remote defects) stay zero."""
+    layout = frame_layout(n, pointer)
+    frame = bytearray(layout.frame_bytes)
+    frame[0 : 2 * n] = framing_pattern(n)
+    frame[2 * n] = J0_DEFAULT
+    # H1/H2 pointer in the first STS-1; concatenation indication
+    # (NDF=1001, offset all-ones) in the rest.
+    h1 = layout.offset(3, 0)
+    frame[h1] = (NDF_NORMAL << 4) | ((pointer >> 8) & 0x03)
+    frame[h1 + n] = pointer & 0xFF
+    frame[h1 + 1 : h1 + n] = b"\x93" * (n - 1)              # 1001 ss 11
+    frame[h1 + n + 1 : h1 + 2 * n] = b"\xff" * (n - 1)
+    frame[layout.offset(2, layout.poh)] = c2
+    return bytes(frame)
 
 
 class SonetFramer:
@@ -83,60 +152,24 @@ class SonetFramer:
         pointer interpretation.
     c2:
         Path signal label; defaults to the scrambled-PPP value.
-    scramble:
-        Apply the frame-synchronous scrambler (on by default; switch
-        off to observe raw overhead in tests).
     """
 
-    def __init__(
-        self,
-        n: int,
-        *,
-        pointer: int = 0,
-        c2: int = SONET_C2_PPP_SCRAMBLED,
-        j0: int = J0_DEFAULT,
-        j1: bytes = b"repro-path-trace",
-        scramble: bool = True,
-    ) -> None:
+    def __init__(self, n: int, *, pointer: int = 0, c2: int = SONET_C2_PPP_SCRAMBLED) -> None:
         if not 0 <= pointer <= POINTER_MAX:
             raise PointerError(f"pointer {pointer} outside 0..{POINTER_MAX}")
         self.rate = StsRate(n)
         self.n = n
         self.pointer = pointer
         self.c2 = c2
-        self.j0 = j0
-        self.j1 = (j1 + b" " * 16)[:16]
-        self.scramble = scramble
-        self._scrambler = FrameSyncScrambler()
-        self._prev_frame_scrambled: Optional[np.ndarray] = None
-        self._prev_line_portion: Optional[np.ndarray] = None
-        self._prev_spe: Optional[np.ndarray] = None
-        self._j1_cursor = 0
+        self._layout = frame_layout(n, pointer)
+        self._template = _overhead(n, pointer, c2)
+        self._parity: Optional[Tuple[int, int, int]] = None
         self.frames_built = 0
 
-    # ------------------------------------------------------------- geometry
     @property
     def payload_bytes_per_frame(self) -> int:
-        from repro.sonet.rates import payload_capacity_bytes
-
         return payload_capacity_bytes(self.n)
 
-    def _payload_columns(self) -> List[int]:
-        """Grid columns available to payload (excl. TOH, POH, stuff)."""
-        toh = self.rate.toh_columns
-        spe_cols = list(range(toh, self.rate.columns))
-        poh_col = toh + (self.pointer % (self.rate.spe_columns))
-        # POH occupies one column; fixed stuff the next N/3-1 columns.
-        stuff = fixed_stuff_columns(self.n)
-        reserved = {self._wrap_spe_col(poh_col, k) for k in range(stuff + 1)}
-        return [c for c in spe_cols if c not in reserved]
-
-    def _wrap_spe_col(self, col: int, offset: int) -> int:
-        toh = self.rate.toh_columns
-        spe_width = self.rate.spe_columns
-        return toh + (col - toh + offset) % spe_width
-
-    # ---------------------------------------------------------------- build
     def build(self, payload: bytes) -> bytes:
         """Assemble one frame around ``payload`` and return wire bytes.
 
@@ -150,69 +183,21 @@ class SonetFramer:
                 f"payload must be exactly {self.payload_bytes_per_frame} bytes, "
                 f"got {len(payload)}"
             )
-        grid = np.zeros((ROWS, self.rate.columns), dtype=np.uint8)
-        self._write_toh(grid)
-        self._write_poh_and_payload(grid, payload)
-        self._write_parity(grid)
-        line_portion = grid[3:, :].copy()
-        wire = self._apply_scrambler(grid)
-        self._prev_frame_scrambled = wire.copy()
-        self._prev_line_portion = line_portion
+        layout = self._layout
+        frame = bytearray(self._template)
+        frame[layout.offset(0, layout.poh)] = J1_TRACE[self.frames_built % len(J1_TRACE)]
+        source = memoryview(payload)
+        at = 0
+        for start, stop in layout.spans:
+            frame[start:stop] = source[at : at + stop - start]
+            at += stop - start
+        if self._parity is not None:
+            b1, b2, b3 = self._parity
+            frame[layout.offset(1, 0)] = b1
+            frame[layout.offset(5, 0)] = b2
+            frame[layout.offset(1, layout.poh)] = b3
+        plain = np.frombuffer(frame, dtype=np.uint8)
+        line = plain ^ layout.keystream
+        self._parity = layout.parity(line, plain)
         self.frames_built += 1
-        return wire.tobytes()
-
-    def _write_toh(self, grid: np.ndarray) -> None:
-        n = self.n
-        # Row 0: A1 x N, A2 x N, J0/Z0 x N.
-        grid[0, 0:n] = A1
-        grid[0, n : 2 * n] = A2
-        grid[0, 2 * n] = self.j0
-        # Row 3: H1/H2 pointer in the first STS-1; concatenation
-        # indication (NDF=1001, offset all-ones) in the rest.
-        h1 = (NDF_NORMAL << 4) | ((self.pointer >> 8) & 0x03)
-        h2 = self.pointer & 0xFF
-        grid[3, 0] = h1
-        grid[3, n] = h2
-        if n > 1:
-            grid[3, 1:n] = 0x93          # 1001 ss 11: concatenation H1
-            grid[3, n + 1 : 2 * n] = 0xFF  # concatenation H2
-        # K1/K2 (APS) idle.
-        grid[4, 2 * n] = 0x00
-
-    def _write_poh_and_payload(self, grid: np.ndarray, payload: bytes) -> None:
-        poh_col = self._wrap_spe_col(self.rate.toh_columns, self.pointer)
-        # Path overhead column: J1, B3 (filled in _write_parity), C2, G1.
-        grid[0, poh_col] = self.j1[self._j1_cursor]
-        self._j1_cursor = (self._j1_cursor + 1) % len(self.j1)
-        grid[2, poh_col] = self.c2
-        grid[3, poh_col] = 0x00  # G1: no remote defects
-        cols = self._payload_columns()
-        block = np.frombuffer(payload, dtype=np.uint8).reshape(ROWS, len(cols))
-        grid[:, cols] = block
-        self._poh_col_last = poh_col
-
-    def _write_parity(self, grid: np.ndarray) -> None:
-        n = self.n
-        # B1 (row 1, col 0): section BIP-8 over previous scrambled frame.
-        if self._prev_frame_scrambled is not None:
-            grid[1, 0] = _bip8(self._prev_frame_scrambled)
-        # B2 (row 5, col 0): line BIP over previous frame's line portion.
-        if self._prev_line_portion is not None:
-            grid[5, 0] = _bip8(self._prev_line_portion)
-        # B3 (row 1 of POH): path BIP-8 over the previous SPE.
-        spe = grid[:, self.rate.toh_columns :]
-        if self._prev_spe is not None:
-            grid[1, self._poh_col_last] = _bip8(self._prev_spe)
-        self._prev_spe = spe.copy()
-
-    def _apply_scrambler(self, grid: np.ndarray) -> np.ndarray:
-        if not self.scramble:
-            return grid.copy()
-        flat = grid.reshape(-1).copy()
-        keystream = self._scrambler.sequence(flat.size)
-        # Row 0's section overhead (A1/A2/J0 region) is not scrambled.
-        start = self.rate.toh_columns
-        mask = np.ones(flat.size, dtype=bool)
-        mask[:start] = False
-        flat[mask] ^= keystream[: int(mask.sum())]
-        return flat.reshape(grid.shape)
+        return line.tobytes()

@@ -19,7 +19,7 @@ from repro.crc import CRC32, CrcSpec
 from repro.hdlc.constants import FLAG_OCTET
 from repro.hdlc.delineation import Delineator, DelineatorStats
 from repro.hdlc.framer import HdlcFramer
-from repro.sonet.constants import SONET_C2_PPP, SONET_C2_PPP_SCRAMBLED
+from repro.sonet.constants import SONET_C2_GFP, SONET_C2_PPP, SONET_C2_PPP_SCRAMBLED
 from repro.sonet.framer import SonetFramer
 from repro.sonet.rx_framer import RxCounters, SonetRxFramer
 from repro.sonet.scrambler import SelfSyncScrambler
@@ -124,8 +124,8 @@ class GfpOverSonet:
         self._GfpFrame = GfpFrame
         self._idle = idle_frame
         self.n = n
-        self.framer = SonetFramer(n, c2=0x1B)   # GFP signal label
-        self.rx_framer = SonetRxFramer(n, expected_c2=0x1B)
+        self.framer = SonetFramer(n, c2=SONET_C2_GFP)
+        self.rx_framer = SonetRxFramer(n, expected_c2=SONET_C2_GFP)
         self.delineator = GfpDelineator()
         self._tx_queue: Deque[bytes] = deque()
         self._tx_residue = b""

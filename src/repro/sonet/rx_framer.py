@@ -2,25 +2,26 @@
 
 The receiver sees an unaligned byte stream.  It hunts for the A1…A2
 framing pattern, requires two consecutive aligned frames before
-declaring sync (GR-253's m-consecutive rule), monitors framing on
-every frame thereafter (4 consecutive errored framings → out-of-frame,
-persistent OOF → loss-of-frame), descrambles, verifies B1/B2/B3
+declaring sync (GR-253's m-consecutive rule; a miss while confirming
+goes straight back to the hunt), monitors framing on every frame
+thereafter (4 consecutive errored framings → out-of-frame, persistent
+OOF → loss-of-frame), descrambles, verifies B1/B2/B3
 parity, interprets the H1/H2 pointer, checks the C2 path label and
-hands the payload columns to the layer above.
+hands the payload octets to the layer above.  Frame geometry, the
+keystream and the parity coverage all come from
+:func:`repro.sonet.framer.frame_layout`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sonet.constants import A1, A2, POINTER_MAX, ROWS
-from repro.sonet.framer import _bip8
-from repro.sonet.rates import StsRate, fixed_stuff_columns
-from repro.sonet.scrambler import FrameSyncScrambler
+from repro.sonet.constants import LOF_FRAMES, POINTER_MAX
+from repro.sonet.framer import frame_layout, framing_pattern
 
 __all__ = ["FramerState", "RxCounters", "SonetRxFramer"]
 
@@ -62,172 +63,123 @@ class SonetRxFramer:
         STS level; must match the transmitter.
     expected_c2:
         Path signal label to verify (None disables the check).
-    descramble:
-        Must match the transmitter's ``scramble`` flag.
-    oof_threshold / lof_threshold:
-        Consecutive bad framings to declare OOF, and consecutive OOF
-        frames to escalate to LOF.
+    oof_threshold:
+        Consecutive bad framings, once in frame, that declare OOF.
+        Loss of frame follows :data:`~repro.sonet.constants.LOF_FRAMES`
+        frame-times of fruitless hunting after an OOF.
     """
 
     def __init__(
-        self,
-        n: int,
-        *,
-        expected_c2: Optional[int] = None,
-        descramble: bool = True,
-        oof_threshold: int = 4,
-        lof_threshold: int = 24,
+        self, n: int, *, expected_c2: Optional[int] = None, oof_threshold: int = 4
     ) -> None:
-        self.rate = StsRate(n)
         self.n = n
         self.expected_c2 = expected_c2
-        self.descramble = descramble
         self.oof_threshold = oof_threshold
-        self.lof_threshold = lof_threshold
-        self._scrambler = FrameSyncScrambler()
+        self._layout = frame_layout(n, 0)   # offsets and keystream, which no pointer moves
+        self._pattern = framing_pattern(n)
         self._buffer = bytearray()
         self.state = FramerState.HUNT
         self.counters = RxCounters()
         self._bad_framings = 0
         self._oof_hunt_bytes = 0      # bytes spent hunting since OOF
-        self._lof_declared = False
         self._presync_ok = 0
-        self._prev_scrambled: Optional[np.ndarray] = None
-        self._prev_line_portion: Optional[np.ndarray] = None
-        self._prev_spe: Optional[np.ndarray] = None
+        self._parity: Optional[Tuple[int, int, int]] = None
 
-    # ---------------------------------------------------------------- sizes
     @property
     def frame_bytes(self) -> int:
-        return ROWS * self.rate.columns
-
-    def _pattern(self) -> bytes:
-        return bytes([A1] * self.n + [A2] * self.n)
+        return self._layout.frame_bytes
 
     # ----------------------------------------------------------------- feed
     def feed(self, data: bytes) -> bytes:
         """Consume a chunk of line bytes; return recovered payload."""
-        self._buffer.extend(data)
-        payload = bytearray()
-        progressed = True
-        while progressed:
-            progressed = False
+        buffer = self._buffer
+        buffer += data
+        size = self.frame_bytes
+        payload: List[bytes] = []
+        at = 0
+        while True:
             if self.state is FramerState.HUNT:
-                progressed = self._hunt()
-            elif len(self._buffer) >= self.frame_bytes:
-                chunk = bytes(self._buffer[: self.frame_bytes])
-                del self._buffer[: self.frame_bytes]
-                payload.extend(self._process_frame(chunk))
-                progressed = True
-        return bytes(payload)
+                at = self._hunt(at)
+                if self.state is FramerState.HUNT:
+                    break
+            elif len(buffer) - at < size:
+                break
+            elif buffer.startswith(self._pattern, at):
+                payload.append(self._frame(buffer[at : at + size]))
+                at += size
+            else:
+                at = self._missed_framing(at)
+        del buffer[:at]
+        return b"".join(payload)
 
-    def _hunt(self) -> bool:
-        pattern = self._pattern()
-        idx = bytes(self._buffer).find(pattern)
-        if idx < 0:
+    def _hunt(self, at: int) -> int:
+        """Search the buffer from ``at`` for the framing pattern; return
+        where the search stopped (the pattern, or the held tail)."""
+        idx = self._buffer.find(self._pattern, at)
+        found = idx >= 0
+        if not found:
             # Keep a pattern's worth of tail in case it straddles chunks.
-            keep = len(pattern) - 1
-            dropped = max(0, len(self._buffer) - keep)
-            if dropped:
-                self.counters.bytes_discarded_hunting += dropped
-                self._note_oof_persistence(dropped)
-                del self._buffer[:dropped]
-            return False
-        self.counters.bytes_discarded_hunting += idx
-        self._note_oof_persistence(idx)
-        del self._buffer[:idx]
-        self.state = FramerState.PRESYNC
-        self._presync_ok = 0
-        self._oof_hunt_bytes = 0
-        self._lof_declared = False
-        return True
+            idx = max(at, len(self._buffer) - len(self._pattern) + 1)
+        hunted = idx - at
+        counters = self.counters
+        counters.bytes_discarded_hunting += hunted
+        if counters.oof_events:
+            # Hunting LOF_FRAMES frame-times after an OOF is loss of frame:
+            # count the hunt crossing that limit.
+            limit = LOF_FRAMES * self.frame_bytes
+            counters.lof_events += self._oof_hunt_bytes < limit <= self._oof_hunt_bytes + hunted
+            self._oof_hunt_bytes += hunted
+        if found:
+            self.state = FramerState.PRESYNC
+            self._presync_ok = 0
+            self._oof_hunt_bytes = 0
+        return idx
 
-    def _note_oof_persistence(self, hunted_bytes: int) -> None:
-        """Escalate OOF to LOF when hunting persists (GR-253's 3 ms,
-        modelled as ``lof_threshold`` frame-times of fruitless hunt)."""
-        if not self.counters.oof_events or self._lof_declared:
-            return
-        self._oof_hunt_bytes += hunted_bytes
-        if self._oof_hunt_bytes >= self.lof_threshold * self.frame_bytes:
-            self.counters.lof_events += 1
-            self._lof_declared = True
-
-    def _framing_ok(self, raw: bytes) -> bool:
-        return raw.startswith(self._pattern())
-
-    def _process_frame(self, raw: bytes) -> bytes:
-        if not self._framing_ok(raw):
-            return self._handle_bad_framing(raw)
+    def _missed_framing(self, at: int) -> int:
+        """A frame without A1/A2 at ``at``.  In frame, drop it, or after
+        ``oof_threshold`` in a row declare OOF.  While confirming a
+        candidate alignment, the candidate was false: no OOF (that is a
+        defect of an in-frame signal).  Either way a lost alignment
+        re-hunts from the next octet; return where the buffer
+        continues."""
+        if self.state is FramerState.SYNC:
+            self._bad_framings += 1
+            if self._bad_framings < self.oof_threshold:
+                return at + self.frame_bytes
+            self.counters.oof_events += 1
+            self._oof_hunt_bytes = 0
+        self.counters.bytes_discarded_hunting += 1   # never re-hunt at ``at``
+        self.state = FramerState.HUNT
         self._bad_framings = 0
-        self._oof_frames = 0
+        self._parity = None
+        return at + 1
+
+    def _frame(self, raw: bytes) -> bytes:
+        """One aligned frame: descramble, check overhead, return payload."""
+        self._bad_framings = 0
         if self.state is FramerState.PRESYNC:
             self._presync_ok += 1
             if self._presync_ok >= 2:
                 self.state = FramerState.SYNC
-        grid_scrambled = np.frombuffer(raw, dtype=np.uint8).reshape(
-            ROWS, self.rate.columns
-        )
-        grid = self._descramble(grid_scrambled)
-        payload = self._extract(grid, grid_scrambled)
-        self.counters.frames_ok += 1
-        return payload
-
-    def _handle_bad_framing(self, raw: bytes) -> bytes:
-        self._bad_framings += 1
-        if self._bad_framings >= self.oof_threshold:
-            self.counters.oof_events += 1
-            self._oof_hunt_bytes = 0
-            # Re-hunt within the data we still hold.
-            self._buffer[:0] = raw  # push the frame back for re-scan
-            del self._buffer[:1]    # but never at offset 0 again
-            self.counters.bytes_discarded_hunting += 1
-            self.state = FramerState.HUNT
-            self._bad_framings = 0
-            self._prev_scrambled = None
-            self._prev_line_portion = None
-            self._prev_spe = None
-        return b""
-
-    def _descramble(self, grid_scrambled: np.ndarray) -> np.ndarray:
-        if not self.descramble:
-            return grid_scrambled.copy()
-        flat = grid_scrambled.reshape(-1).copy()
-        keystream = self._scrambler.sequence(flat.size)
-        start = self.rate.toh_columns
-        mask = np.ones(flat.size, dtype=bool)
-        mask[:start] = False
-        flat[mask] ^= keystream[: int(mask.sum())]
-        return flat.reshape(grid_scrambled.shape)
-
-    def _extract(self, grid: np.ndarray, grid_scrambled: np.ndarray) -> bytes:
-        n = self.n
-        # Parity checks: B1/B2/B3 in this frame cover the previous one.
-        if self._prev_scrambled is not None:
-            if int(grid[1, 0]) != _bip8(self._prev_scrambled):
-                self.counters.b1_errors += 1
-        if self._prev_line_portion is not None:
-            if int(grid[5, 0]) != _bip8(self._prev_line_portion):
-                self.counters.b2_errors += 1
-        # Pointer interpretation.
-        h1, h2 = int(grid[3, 0]), int(grid[3, n])
-        pointer = ((h1 & 0x03) << 8) | h2
+        line = np.frombuffer(raw, dtype=np.uint8)
+        plain = line ^ self._layout.keystream
+        frame = plain.tobytes()
+        # Pointer interpretation, then the layout it selects.
+        h1 = self._layout.offset(3, 0)
+        pointer = ((frame[h1] & 0x03) << 8) | frame[h1 + self.n]
+        counters = self.counters
         if pointer > POINTER_MAX:
-            self.counters.pointer_invalid += 1
+            counters.pointer_invalid += 1
             pointer = 0
-        toh = self.rate.toh_columns
-        spe_width = self.rate.spe_columns
-        poh_col = toh + pointer % spe_width
-        stuff = fixed_stuff_columns(n)
-        reserved = {toh + (poh_col - toh + k) % spe_width for k in range(stuff + 1)}
-        if self.expected_c2 is not None and int(grid[2, poh_col]) != self.expected_c2:
-            self.counters.c2_mismatches += 1
-        spe = grid[:, toh:]
-        if self._prev_spe is not None:
-            if int(grid[1, poh_col]) != _bip8(self._prev_spe):
-                self.counters.b3_errors += 1
-        cols = [c for c in range(toh, self.rate.columns) if c not in reserved]
-        payload = grid[:, cols].reshape(-1).tobytes()
-        self._prev_scrambled = grid_scrambled.copy()
-        self._prev_line_portion = grid[3:, :].copy()
-        self._prev_spe = spe.copy()
-        return payload
+        layout = frame_layout(self.n, pointer)
+        # Parity checks: B1/B2/B3 in this frame cover the previous one.
+        if self._parity is not None:
+            b1, b2, b3 = self._parity
+            counters.b1_errors += frame[layout.offset(1, 0)] != b1
+            counters.b2_errors += frame[layout.offset(5, 0)] != b2
+            counters.b3_errors += frame[layout.offset(1, layout.poh)] != b3
+        if self.expected_c2 is not None and frame[layout.offset(2, layout.poh)] != self.expected_c2:
+            counters.c2_mismatches += 1
+        self._parity = layout.parity(line, plain)
+        counters.frames_ok += 1
+        return b"".join(frame[start:stop] for start, stop in layout.spans)

@@ -3,61 +3,47 @@
 Two distinct scramblers appear in PPP-over-SONET:
 
 * the **frame-synchronous scrambler** (G.707 section 6.5): generator
-  ``1 + x^6 + x^7``, seeded to all-ones on the first SPE byte of each
-  frame, applied to everything except the first row of section
-  overhead.  Guarantees clock-recovery transition density for
-  arbitrary *overhead*, but restarts predictably every frame.
+  ``1 + x^6 + x^7``, seeded to all-ones on the first byte after row
+  0's section overhead of each frame and applied to everything from
+  there on.  Guarantees clock-recovery transition density for
+  arbitrary *overhead*, but restarts predictably every frame.  Its
+  keystream is the same for every frame, so it is a constant:
+  :func:`frame_sync_sequence` tiles one 127-octet period, and
+  :func:`repro.sonet.framer.frame_layout` turns it into each STS
+  level's XOR mask once per process.
 * the **self-synchronous x^43 + 1 payload scrambler** (RFC 2615):
   applied to the SPE payload before mapping, precisely because a
   malicious PPP payload can reproduce the frame-sync scrambler's
   pattern and kill the line ("scrambler-killer" packets).  RFC 1619
   (the paper's citation) lacked it; its absence is why RFC 1619 was
   obsoleted — we implement both so the path can be configured either
-  way.
-
-Both are GF(2) LFSR streams: the frame-synchronous keystream is a
-cached numpy array, and the x^43 scrambler works on whole buffers as
-Python ints.
+  way.  It carries state across calls and works on whole buffers as
+  Python ints.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["FrameSyncScrambler", "SelfSyncScrambler"]
+__all__ = ["SelfSyncScrambler", "frame_sync_sequence"]
 
 
-class FrameSyncScrambler:
-    """The 2^7 - 1 frame-synchronous scrambler (1 + x^6 + x^7).
+def _frame_sync_cycle() -> bytes:
+    """One period of the 1 + x^6 + x^7 keystream from the all-ones
+    seed, by its output recurrence ``b[i + 7] = b[i] ^ b[i + 1]``.  The
+    bits repeat every 127, so the octets repeat every 127 octets."""
+    bits = [1] * 7
+    while len(bits) < 8 * 127:
+        bits.append(bits[-7] ^ bits[-6])
+    return int("".join(map(str, bits)), 2).to_bytes(127, "big")
 
-    :meth:`sequence` produces the keystream bytes for one frame; XOR
-    is its own inverse so the same call descrambles.
-    """
 
-    def __init__(self) -> None:
-        self._cache: dict = {}
+_FRAME_SYNC_CYCLE = _frame_sync_cycle()
 
-    def sequence(self, nbytes: int) -> np.ndarray:
-        """Keystream of ``nbytes`` bytes, starting from the all-ones seed."""
-        if nbytes in self._cache:
-            return self._cache[nbytes]
-        state = 0x7F  # seven ones
-        out = np.empty(nbytes, dtype=np.uint8)
-        for i in range(nbytes):
-            byte = 0
-            for _ in range(8):
-                bit = (state >> 6) & 1            # output = x^7 tap
-                feedback = ((state >> 6) ^ (state >> 5)) & 1  # x^7 + x^6
-                state = ((state << 1) | feedback) & 0x7F
-                byte = (byte << 1) | bit
-            out[i] = byte
-        self._cache[nbytes] = out
-        return out
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """Scramble/descramble a frame-aligned byte array."""
-        data = np.asarray(data, dtype=np.uint8)
-        return data ^ self.sequence(data.size)
+def frame_sync_sequence(nbytes: int) -> bytes:
+    """The first ``nbytes`` octets of the frame-synchronous keystream;
+    XOR with it both scrambles and descrambles."""
+    cycles = nbytes // len(_FRAME_SYNC_CYCLE) + 1
+    return (_FRAME_SYNC_CYCLE * cycles)[:nbytes]
 
 
 class SelfSyncScrambler:

@@ -1,5 +1,7 @@
 """Unit tests for SONET frame construction, alignment and monitoring."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.sonet import (
     rate_for,
 )
 from repro.sonet.constants import A1, A2, ROWS, SONET_C2_PPP_SCRAMBLED
-from repro.sonet.framer import SonetFrame, _bip8
+from repro.sonet.framer import _bip8, frame_layout
+from repro.sonet.rates import fixed_stuff_columns
 
 
 class TestRates:
@@ -71,15 +74,35 @@ class TestFramer:
         with pytest.raises(PointerError):
             SonetFramer(3, pointer=783)
 
-    def test_frame_wire_round_trip(self):
-        framer = SonetFramer(3)
-        wire = framer.build(make_payload(framer))
-        frame = SonetFrame.from_wire(wire, 3)
-        assert frame.to_wire() == wire
-
-    def test_from_wire_validates_length(self):
-        with pytest.raises(SonetError):
-            SonetFrame.from_wire(b"short", 3)
+    def test_layout_partitions_the_spe(self):
+        """Payload spans, the POH column and the fixed stuff cover the
+        SPE of every row once each; the TOH and row 0's scrambling
+        exemption are the first 3N columns."""
+        for n, pointer in itertools.product((1, 3, 12, 48), (0, 1, 86, 782)):
+            layout = frame_layout(n, pointer)
+            rate = rate_for(n)
+            toh, columns = rate.toh_columns, rate.columns
+            covered = [0] * layout.frame_bytes
+            for start, stop in layout.spans:
+                assert start < stop
+                for offset in range(start, stop):
+                    covered[offset] += 1
+            starts = [start for start, _ in layout.spans]
+            assert starts == sorted(starts)
+            assert sum(covered) == payload_capacity_bytes(n)
+            stuff = fixed_stuff_columns(n)
+            for row in range(ROWS):
+                cells = covered[layout.offset(row, 0) : layout.offset(row + 1, 0)]
+                assert not any(cells[:toh])
+                assert cells[layout.poh] == 0
+                assert cells.count(0) == toh + 1 + stuff
+                assert cells.count(1) == columns - toh - 1 - stuff
+            assert layout.poh == toh + pointer % rate.spe_columns
+            assert sorted(layout.toh) == [
+                layout.offset(row, col) for row in range(ROWS) for col in range(toh)
+            ]
+            assert not layout.keystream[:toh].any()
+            assert layout.keystream[toh:].any()
 
     def test_bip8_definition(self):
         data = np.array([0b1100, 0b1010], dtype=np.uint8)
@@ -124,6 +147,18 @@ class TestRxAlignment:
         rx.feed(tx.build(make_payload(tx)))
         assert rx.state is FramerState.PRESYNC
         rx.feed(tx.build(make_payload(tx)))
+        assert rx.state is FramerState.SYNC
+
+    def test_false_lock_in_junk_is_not_loss_of_frame(self):
+        """A1/A2 look-alikes in junk lock the receiver into PRESYNC; the
+        next missed framing sends it back to the hunt at once, with no
+        OOF event, so every real frame that follows lands."""
+        tx, rx = self._link()
+        rx.feed(bytes(100) + bytes([A1] * 3 + [A2] * 3) + bytes(500))
+        for _ in range(8):
+            rx.feed(tx.build(make_payload(tx)))
+        assert rx.counters.oof_events == 0
+        assert rx.counters.frames_ok == 8      # the false frame, then all 7 after it
         assert rx.state is FramerState.SYNC
 
     def test_loss_of_alignment_rehunts(self, rng):
@@ -184,10 +219,12 @@ class TestOverheadMonitoring:
         got = rx.feed(tx.build(sent))
         assert got == sent
 
-    def test_scramble_flag_must_match(self):
-        tx = SonetFramer(3, scramble=False)
-        rx = SonetRxFramer(3, descramble=False)
+    def test_payload_is_scrambled_on_the_wire(self):
+        """G.707 frame-sync scrambling is always on: a flag-fill
+        payload does not appear on the wire, yet comes back intact."""
+        tx, rx = SonetFramer(3), SonetRxFramer(3)
         payload = make_payload(tx)
-        rx.feed(tx.build(payload))
-        got = rx.feed(tx.build(payload))
-        assert got == payload
+        wires = [tx.build(payload) for _ in range(2)]
+        assert all(payload[:90] not in wire for wire in wires)
+        rx.feed(wires[0])
+        assert rx.feed(wires[1]) == payload

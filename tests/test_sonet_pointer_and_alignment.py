@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import PointerError
-from repro.sonet import FramerState, SonetFramer, SonetRxFramer
+from repro.sonet import FramerState, SonetFramer, SonetRxFramer, frame_layout
+from repro.sonet.constants import LOF_FRAMES
 
 
 def payload_for(framer, seed=0):
@@ -44,25 +45,31 @@ class TestPointerSweep:
 class TestLofEscalation:
     def test_lof_after_persistent_oof(self):
         tx = SonetFramer(3)
-        rx = SonetRxFramer(3, oof_threshold=1, lof_threshold=2)
+        rx = SonetRxFramer(3, oof_threshold=1)
         good = payload_for(tx)
         for _ in range(3):
             rx.feed(tx.build(good))
         assert rx.state is FramerState.SYNC
-        # Feed garbage for many frame times: OOF then LOF.
-        for _ in range(6):
+        # Garbage short of LOF_FRAMES frame-times is OOF only...
+        for _ in range(LOF_FRAMES - 1):
             rx.feed(bytes(rx.frame_bytes))
-        assert rx.counters.oof_events >= 1
-        assert rx.counters.lof_events >= 1
+        assert rx.counters.oof_events == 1
+        assert rx.counters.lof_events == 0
+        # ...and persisting past them escalates to LOF, once.
+        for _ in range(LOF_FRAMES):
+            rx.feed(bytes(rx.frame_bytes))
+        assert rx.counters.oof_events == 1
+        assert rx.counters.lof_events == 1
 
     def test_recovery_after_lof(self):
         tx = SonetFramer(3)
-        rx = SonetRxFramer(3, oof_threshold=1, lof_threshold=2)
+        rx = SonetRxFramer(3, oof_threshold=1)
         good = payload_for(tx)
         for _ in range(3):
             rx.feed(tx.build(good))
-        for _ in range(4):
+        for _ in range(LOF_FRAMES + 2):
             rx.feed(bytes(rx.frame_bytes))
+        assert rx.counters.lof_events == 1
         # Clean signal returns: re-hunt, presync, sync.
         for _ in range(4):
             rx.feed(tx.build(good))
@@ -88,15 +95,18 @@ class TestLofEscalation:
 
 
 class TestScramblerInterop:
-    def test_scrambled_tx_plain_rx_never_locks_for_long(self):
-        tx = SonetFramer(3, scramble=True)
-        rx = SonetRxFramer(3, descramble=False, oof_threshold=1)
+    def test_unscrambled_line_garbles_payload(self):
+        """A line that skips frame-sync scrambling still aligns (A1/A2
+        are never scrambled), but its payload comes out garbled."""
+        tx = SonetFramer(3)
+        rx = SonetRxFramer(3, oof_threshold=1)
+        keystream = frame_layout(3, 0).keystream
         payload = payload_for(tx)
         recovered = b""
         for _ in range(5):
-            recovered += rx.feed(tx.build(payload))
-        # A1/A2 are unscrambled so alignment can occur, but payload
-        # comes out scrambled — it must NOT equal the sent payload.
+            line = np.frombuffer(tx.build(payload), dtype=np.uint8)
+            recovered += rx.feed((line ^ keystream).tobytes())
+        assert rx.state is FramerState.SYNC
         assert payload not in recovered
 
     def test_b1_catches_single_line_error(self):

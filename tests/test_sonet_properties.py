@@ -31,29 +31,55 @@ def test_selfsync_chunking_invariance(data, cuts):
     assert out == whole
 
 
+_DAMAGE = st.tuples(
+    st.sampled_from(["framing", "flip", "slip"]),
+    st.integers(min_value=0, max_value=7),          # which frame
+    st.integers(min_value=0, max_value=2**16),      # where in it
+)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     payload_seed=st.integers(min_value=0, max_value=2**16),
-    chunk=st.integers(min_value=1, max_value=4000),
     junk=st.binary(max_size=50),
+    damage=st.lists(_DAMAGE, max_size=6),
+    cuts=st.lists(st.integers(min_value=0, max_value=20000), max_size=12),
 )
-def test_framer_alignment_chunking_invariance(payload_seed, chunk, junk):
-    """Any leading junk and any chunking: payload recovery identical."""
+def test_framer_alignment_chunking_invariance(payload_seed, junk, damage, cuts):
+    """Any leading junk, broken A1/A2, bit flips and slips, under any
+    chunking: the same payload, the same counters and the same state
+    as feeding the whole stream at once, at every OOF threshold."""
     rng = np.random.default_rng(payload_seed)
     tx = SonetFramer(3)
     payloads = [
         rng.integers(0, 256, tx.payload_bytes_per_frame, dtype=np.uint8).tobytes()
-        for _ in range(4)
+        for _ in range(8)
     ]
-    wire = junk + b"".join(tx.build(p) for p in payloads)
-    rx = SonetRxFramer(3)
-    got = b""
-    for offset in range(0, len(wire), chunk):
-        got += rx.feed(wire[offset : offset + chunk])
-    # Whatever alignment cost the junk incurred, recovered payload is a
-    # suffix of the transmitted payload stream.
-    assert b"".join(payloads).endswith(got)
-    assert len(got) >= tx.payload_bytes_per_frame * 2  # most frames land
+    frames = [bytearray(tx.build(p)) for p in payloads]
+    for kind, index, where in damage:
+        frame = frames[index]
+        if kind == "framing":
+            frame[where % 6] ^= 0x40                 # one of A1 x3, A2 x3
+        elif kind == "flip":
+            frame[where % len(frame)] ^= 1 << (where % 8)
+        else:
+            # Slip: drop up to 12 octets, or repeat them.
+            at, size = where % len(frame), 1 + where % 12
+            frame[at : at + size] = frame[at : at + size] * (2 * (where & 1))
+    wire = junk + b"".join(frames)
+    bounds = [0] + sorted(c for c in cuts if c <= len(wire)) + [len(wire)]
+    for oof_threshold in range(1, 6):
+        whole = SonetRxFramer(3, oof_threshold=oof_threshold)
+        chunked = SonetRxFramer(3, oof_threshold=oof_threshold)
+        expected = whole.feed(wire)
+        got = b"".join(chunked.feed(wire[a:b]) for a, b in zip(bounds, bounds[1:]))
+        assert got == expected
+        assert chunked.counters == whole.counters
+        assert chunked.state is whole.state
+        if not damage:
+            # A clean stream loses at most the frames the junk cost.
+            assert b"".join(payloads).endswith(expected)
+            assert len(expected) >= 6 * tx.payload_bytes_per_frame
 
 
 @settings(max_examples=20, deadline=None)
