@@ -6,7 +6,7 @@ The supervisor moves traffic through the
 it provably matches the golden cycle model.  This guard enforces that
 trust at runtime:
 
-* in **fast** mode, every ``check_every``-th encode (and any encode
+* in **fast** mode, every ``CHECK_EVERY``-th (8th) encode (and any encode
   whose output left the engine tampered — the chaos schedule's
   ``sabotage`` event models a fastpath memory fault) is differentially
   spot-checked against the cycle engine via
@@ -21,7 +21,7 @@ trust at runtime:
   (running under a non-strict timing
   :class:`~repro.sta.conformance.ContractMonitor`, whose findings feed
   the health engine) — traffic keeps flowing, slower but golden;
-* after ``reinstate_after`` consecutive quarantined intervals in which
+* after ``REINSTATE_AFTER`` (3) consecutive quarantined intervals in which
   the fast engine's re-encode agrees byte-for-byte with the shipped
   cycle line, the fastpath is reinstated.
 
@@ -50,6 +50,13 @@ from repro.sta.conformance import ContractMonitor
 
 __all__ = ["GuardMode", "QuarantineRecord", "FastpathGuard"]
 
+#: Fast encodes between differential spot-checks.
+CHECK_EVERY = 8
+#: Consecutive clean quarantined intervals before the fastpath returns.
+REINSTATE_AFTER = 3
+#: Cycle-engine watchdog for the golden runs, in cycles.
+TIMEOUT = 2_000_000
+
 
 class GuardMode(enum.Enum):
     FAST = "fast"
@@ -75,21 +82,11 @@ class FastpathGuard:
         config: P5Config,
         *,
         name: str,
-        check_every: int = 8,
-        reinstate_after: int = 4,
         log: Optional[EventLog] = None,
-        timeout: int = 2_000_000,
     ) -> None:
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        if reinstate_after < 1:
-            raise ValueError("reinstate_after must be >= 1")
         self.config = config
         self.name = name
-        self.check_every = check_every
-        self.reinstate_after = reinstate_after
         self.log = log if log is not None else EventLog()
-        self.timeout = timeout
         self.engine = FastpathEngine(config)
         self.mode = GuardMode.FAST
         self.spot_checks = 0
@@ -100,7 +97,7 @@ class FastpathGuard:
         self._encodes = 0
         self._clean_streak = 0
         self._sabotage_armed = False
-        self._harness = DifferentialHarness(config, timeout=timeout)
+        self._harness = DifferentialHarness(config, timeout=TIMEOUT)
         self._cycle_rx: Optional[Tuple[CycleReceiver, ContractMonitor]] = None
         self._pending_carry = b""
 
@@ -132,7 +129,7 @@ class FastpathGuard:
         if self._sabotage_armed:
             self._sabotage_armed = False
             shipped = self._sabotage(shipped)
-        due = self._encodes % self.check_every == 0
+        due = self._encodes % CHECK_EVERY == 0
         if due or shipped != expected:
             self._spot_check(contents, shipped, expected, interval)
         return shipped
@@ -189,18 +186,18 @@ class FastpathGuard:
     ) -> bytes:
         _system, line = self._harness.cycle_loopback(list(contents))
         # Re-verification: once the fast engine agrees with the golden
-        # line for reinstate_after consecutive intervals, trust it again.
+        # line for REINSTATE_AFTER consecutive intervals, trust it again.
         fast = self.engine.encode_frames(list(contents)).line
         if fast == line:
             self._clean_streak += 1
-            if self._clean_streak >= self.reinstate_after:
+            if self._clean_streak >= REINSTATE_AFTER:
                 self.mode = GuardMode.FAST
                 self.reinstatements += 1
                 self._clean_streak = 0
                 self.engine.take_carry()
                 self.log.record(
                     interval, "fastpath", self.name, "reinstate",
-                    after_clean_intervals=self.reinstate_after,
+                    after_clean_intervals=REINSTATE_AFTER,
                 )
         else:
             self._clean_streak = 0
@@ -215,7 +212,7 @@ class FastpathGuard:
         if self.mode is GuardMode.FAST:
             return self.engine.feed(data)
         if self._cycle_rx is None:
-            rx = CycleReceiver(self.config, f"{self.name}.qrx", timeout=self.timeout)
+            rx = CycleReceiver(self.config, f"{self.name}.qrx", timeout=TIMEOUT)
             # Non-strict: findings are folded into health scores
             # instead of aborting the soak mid-flight.
             self._cycle_rx = (rx, rx.sim.enable_conformance(strict=False))

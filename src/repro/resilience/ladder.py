@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError
 from repro.resilience.events import EventLog
 from repro.utils.rng import SeedLike, make_rng
 
@@ -47,9 +46,14 @@ LADDER = (
     RecoveryStep.SWITCH,
     RecoveryStep.QUARANTINE,
 )
+#: Attempts per rung before escalating to the next.
+RETRIES_PER_STEP = 2
 #: Backoff before the second attempt, in intervals; it doubles with
-#: every escalation up to ``backoff_cap``.
+#: every escalation up to ``BACKOFF_CAP``.
 BACKOFF_BASE = 1
+BACKOFF_CAP = 8
+#: Seeded jitter added to every backoff: ``0..JITTER`` intervals.
+JITTER = 1
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,9 @@ class RecoveryLadder:
     def __init__(
         self,
         *,
-        retries_per_step: int = 2,
-        backoff_cap: int = 8,
-        jitter: int = 1,
         seed: SeedLike = None,
         log: Optional[EventLog] = None,
     ) -> None:
-        if retries_per_step < 1:
-            raise ConfigError("retries_per_step must be >= 1")
-        if backoff_cap < BACKOFF_BASE:
-            raise ConfigError(f"backoff_cap must be >= {BACKOFF_BASE}")
-        if jitter < 0:
-            raise ConfigError("jitter must be >= 0")
-        self.retries_per_step = retries_per_step
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
         self.log = log if log is not None else EventLog()
         self._rng = make_rng(seed)
         self._rung = 0
@@ -102,9 +94,8 @@ class RecoveryLadder:
     # ---------------------------------------------------------------- actions
     def _backoff(self) -> int:
         """Exponential in total escalations, capped, plus seeded jitter."""
-        base = min(self.backoff_cap, BACKOFF_BASE * (2 ** self._escalations))
-        extra = int(self._rng.integers(0, self.jitter + 1)) if self.jitter else 0
-        return base + extra
+        base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** self._escalations))
+        return base + int(self._rng.integers(0, JITTER + 1))
 
     def next_action(self, interval: int, lane: str = "-") -> Optional[LadderAction]:
         """The recovery attempt due this interval, if any.
@@ -132,7 +123,7 @@ class RecoveryLadder:
             attempt=self._attempt, backoff=backoff,
         )
         if (
-            self._attempt >= self.retries_per_step
+            self._attempt >= RETRIES_PER_STEP
             and step is not RecoveryStep.QUARANTINE
         ):
             self._rung += 1

@@ -12,12 +12,8 @@ from __future__ import annotations
 import json
 from typing import Dict
 
-from repro.resilience.supervisor import (
-    CHECK_EVERY,
-    FRAME_OCTETS,
-    REINSTATE_AFTER,
-    SoakResult,
-)
+from repro.resilience.guard import CHECK_EVERY, REINSTATE_AFTER
+from repro.resilience.supervisor import FRAME_OCTETS, SoakResult
 
 __all__ = ["render_text", "render_json", "render_events_json", "JSON_SCHEMA_VERSION"]
 

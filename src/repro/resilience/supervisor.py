@@ -10,10 +10,11 @@ logical intervals; each interval the supervisor:
 1. applies any scheduled chaos (:mod:`repro.resilience.chaos`);
 2. bridges one batch of sequence-tagged data frames plus one in-band
    RFC 1333 LQR control frame onto both lanes;
-3. collects each lane's deliveries, accounting every good frame
-   against the submitted payload (a good frame whose payload does not
-   match what was submitted is an **undetected corruption** — the
-   invariant the whole stack exists to keep at zero);
+3. collects the active lane's deliveries, accounting every good frame
+   against the traffic ledger, the payloads still pending by sequence
+   number (a good frame whose payload does not match what was
+   submitted is an **undetected corruption** — the invariant the whole
+   stack exists to keep at zero);
 4. folds the interval's evidence into each lane's
    :class:`~repro.resilience.health.HealthEngine`;
 5. lets the :class:`~repro.resilience.aps.ApsController` decide
@@ -22,10 +23,12 @@ logical intervals; each interval the supervisor:
    the active lane stays unhealthy — resync, flush, LCP renegotiate
    (a real :class:`~repro.ppp.fsm.NegotiationFsm` driven through its
    restart timers), lane switch, and finally quarantine with a typed
-   :class:`~repro.errors.LinkDownError` when both lanes are gone.
+   :class:`~repro.errors.LinkDownError`, always raised, when both
+   lanes are gone.
 
 :meth:`LinkSupervisor.run_soak` returns a :class:`SoakResult` whose
-violations list enforces the acceptance invariants: zero undetected
+violations list, read off that one ledger and the switch records,
+enforces the acceptance invariants: zero undetected
 corruptions, per-switchover loss bounded by the declared hold-off
 budget, no loss outside any chaos/switch influence window, automatic
 reversion to the working lane, and at least one fastpath quarantine
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import P5Config
-from repro.errors import LinkDownError, ProtocolError
-from repro.ppp.fsm import Event, FsmActions, NegotiationFsm, State
+from repro.errors import LinkDownError
+from repro.ppp.fsm import Event, FsmActions, NegotiationFsm
 from repro.ppp.lqm import LinkQualityMonitor
 from repro.resilience.aps import PROTECT, WORKING, ApsController, ApsRequest, SwitchRecord
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
@@ -65,15 +68,10 @@ FRAME_DATA = 0x44  # 'D'
 FRAME_LQR = 0x51   # 'Q'
 _HEADER_OCTETS = 5  # type + 32-bit sequence/interval number
 
-#: Fixed soak parameters (the components' own defaults cover the rest).
+#: Fixed soak parameters (the guard's and ladder's constants cover the rest).
 #: Data payload size range, in octets.
 FRAME_OCTETS: Tuple[int, int] = (24, 72)
 MAX_FRAME_OCTETS = 512
-#: Fastpath guard: spot-check cadence and clean intervals to reinstate.
-CHECK_EVERY = 8
-REINSTATE_AFTER = 3
-#: Cycle-engine watchdog for the guard's golden runs, in cycles.
-TIMEOUT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,6 @@ class SupervisorConfig:
     chaos_events: int = 24
     hold_off: int = 2
     wait_to_restore: int = 6
-    #: Raise :class:`LinkDownError` when the ladder quarantines a
-    #: both-lanes-down link (otherwise it is only logged).
-    raise_on_quarantine: bool = True
 
     @property
     def switchover_loss_budget(self) -> int:
@@ -147,14 +142,7 @@ class Lane:
         self.cfg = cfg
         self.log = log
         self.wire = LaneWire(f"{name}.wire", seed=seed)
-        self.guard = FastpathGuard(
-            cfg.p5(),
-            name=name,
-            check_every=CHECK_EVERY,
-            reinstate_after=REINSTATE_AFTER,
-            log=log,
-            timeout=TIMEOUT,
-        )
+        self.guard = FastpathGuard(cfg.p5(), name=name, log=log)
         self.health = HealthEngine(name)
         magic = (seed * 2654435761) & 0xFFFFFFFF
         self.head_lqm = LinkQualityMonitor(magic=magic or 1)
@@ -176,23 +164,15 @@ class Lane:
     def renegotiate(self, interval: int) -> bool:
         """Ladder rung: bounce LCP through its restart timers.
 
+        LCP is Opened, or Stopped after an earlier failed attempt;
+        from either, Down goes to Starting and Up to Req-Sent.
         Succeeds (re-converges to Opened) only when the wire can carry
         the Configure exchange; on a cut lane the restart counter
         drains through TO+ to TO- and the FSM parks in Stopped.
         """
         self.renegotiations += 1
-        try:
-            self.lcp.down()
-            self.lcp.up()
-        except ProtocolError:
-            # Parked in Stopped from an earlier failed attempt: Down
-            # re-arms via Starting, Up re-sends Configure-Request.
-            pass
-        if self.lcp.state is not State.REQ_SENT:
-            # Stopped -> Starting (tls) needs an explicit lower-layer
-            # bounce before Up is legal again.
-            if self.lcp.state is State.STARTING:
-                self.lcp.up()
+        self.lcp.down()
+        self.lcp.up()
         ticks = 0
         if not self.wire.is_cut(interval):
             self._converge_lcp()
@@ -333,14 +313,13 @@ class LinkSupervisor:
                 wait_to_restore=self.cfg.wait_to_restore,
             )
         self.chaos = sorted(chaos, key=lambda e: (e.interval, e.lane, e.kind))
-        # Traffic ledger.
+        # Traffic ledger: every seq below ``_next_seq`` was submitted,
+        # in interval ``seq // frames_per_interval``; it is delivered
+        # once it leaves ``_pending``.
         self._next_seq = 0
         self._pending: Dict[int, bytes] = {}
-        self._submitted_at: Dict[int, int] = {}
-        self._delivered: Set[int] = set()
         self.undetected_corruptions = 0
         self.degraded_delivered = 0
-        self.quarantine_declared = False
 
     # ------------------------------------------------------------------ chaos
     def _apply_chaos(self, interval: int) -> None:
@@ -362,7 +341,7 @@ class LinkSupervisor:
             )
 
     # ---------------------------------------------------------------- traffic
-    def _make_batch(self, interval: int) -> List[Tuple[int, bytes]]:
+    def _make_batch(self) -> List[Tuple[int, bytes]]:
         lo, hi = FRAME_OCTETS
         batch: List[Tuple[int, bytes]] = []
         for _ in range(self.cfg.frames_per_interval):
@@ -371,7 +350,6 @@ class LinkSupervisor:
             seq = self._next_seq
             self._next_seq += 1
             self._pending[seq] = payload
-            self._submitted_at[seq] = interval
             batch.append((seq, payload))
         return batch
 
@@ -384,7 +362,7 @@ class LinkSupervisor:
         for seq, payload in delivery.data:
             expected = self._pending.get(seq)
             if expected is None:
-                if seq in self._delivered:
+                if seq < self._next_seq:
                     continue  # duplicate delivery of an accounted frame
                 self.undetected_corruptions += 1
                 self.log.record(
@@ -400,7 +378,6 @@ class LinkSupervisor:
                 )
                 continue
             del self._pending[seq]
-            self._delivered.add(seq)
             if quarantined:
                 self.degraded_delivered += 1
         for _content in delivery.unparsable:
@@ -433,19 +410,17 @@ class LinkSupervisor:
             self.aps.force_switch(interval, reason="recovery ladder")
         elif action.step is RecoveryStep.QUARANTINE:
             if all(s is LaneState.FAILED for s in states.values()):
-                self.quarantine_declared = True
                 self.log.record(
                     interval, "ladder", "-", "link-down",
                     working=states[WORKING].value,
                     protect=states[PROTECT].value,
                 )
-                if self.cfg.raise_on_quarantine:
-                    raise LinkDownError(
-                        f"both lanes down at interval {interval}: "
-                        f"working={states[WORKING].value}, "
-                        f"protect={states[PROTECT].value}",
-                        events=self.log.events,
-                    )
+                raise LinkDownError(
+                    f"both lanes down at interval {interval}: "
+                    f"working={states[WORKING].value}, "
+                    f"protect={states[PROTECT].value}",
+                    events=self.log.events,
+                )
             else:
                 self.log.record(
                     interval, "ladder", "-", "quarantine-averted",
@@ -456,7 +431,7 @@ class LinkSupervisor:
     def run_interval(self, interval: int) -> None:
         """One full supervision cycle."""
         self._apply_chaos(interval)
-        batch = self._make_batch(interval)
+        batch = self._make_batch()
         deliveries = {
             name: lane.transmit_interval(interval, batch)
             for name, lane in self.lanes.items()
@@ -478,6 +453,7 @@ class LinkSupervisor:
     def _finalize(self) -> SoakResult:
         cfg = self.cfg
         lost = sorted(self._pending)
+        per = cfg.frames_per_interval
         violations: List[SoakViolation] = []
 
         if self.undetected_corruptions:
@@ -494,7 +470,7 @@ class LinkSupervisor:
             window_lo = record.interval - cfg.loss_window
             in_window = [
                 seq for seq in lost
-                if window_lo < self._submitted_at[seq] <= record.interval
+                if window_lo < seq // per <= record.interval
             ]
             covered.update(in_window)
             switch_losses.append({
@@ -516,7 +492,7 @@ class LinkSupervisor:
         for seq in lost:
             if seq in covered:
                 continue
-            at = self._submitted_at[seq]
+            at = seq // per
             near_chaos = any(
                 event.interval - 1 <= at <= event.end + slack
                 for event in self.chaos
@@ -542,7 +518,7 @@ class LinkSupervisor:
                     "a working-lane cut occurred but traffic never "
                     "reverted to the working lane after wait-to-restore",
                 ))
-            if self.aps.active != WORKING and not self.quarantine_declared:
+            if self.aps.active != WORKING:
                 violations.append(SoakViolation(
                     "no-reversion",
                     f"soak ended on the {self.aps.active} lane despite a "
@@ -587,7 +563,7 @@ class LinkSupervisor:
             config=cfg,
             intervals_run=cfg.intervals,
             frames_submitted=self._next_seq,
-            frames_delivered=len(self._delivered),
+            frames_delivered=self._next_seq - len(lost),
             frames_lost=len(lost),
             undetected_corruptions=self.undetected_corruptions,
             degraded_delivered=self.degraded_delivered,

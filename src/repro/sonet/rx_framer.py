@@ -66,7 +66,7 @@ class SonetRxFramer:
     oof_threshold:
         Consecutive bad framings, once in frame, that declare OOF.
         Loss of frame follows :data:`~repro.sonet.constants.LOF_FRAMES`
-        frame-times of fruitless hunting after an OOF.
+        frame-times of hunting after an OOF that never reach SYNC.
     """
 
     def __init__(
@@ -130,9 +130,11 @@ class SonetRxFramer:
             counters.lof_events += self._oof_hunt_bytes < limit <= self._oof_hunt_bytes + hunted
             self._oof_hunt_bytes += hunted
         if found:
+            # A candidate alignment leaves the LOF timer running; only
+            # the next OOF, which needs SYNC first, restarts it.  False
+            # locks in junk cannot hide LOF.
             self.state = FramerState.PRESYNC
             self._presync_ok = 0
-            self._oof_hunt_bytes = 0
         return idx
 
     def _missed_framing(self, at: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import P5Config
 from repro.resilience import EventLog, FastpathGuard, GuardMode
+from repro.resilience.guard import CHECK_EVERY, REINSTATE_AFTER
 
 
 @pytest.fixture
@@ -25,18 +26,24 @@ def pump(guard, batch, interval):
 
 class TestFastMode:
     def test_clean_traffic_stays_fast_and_delivers(self, config, rng):
-        guard = FastpathGuard(config, name="lane", check_every=4)
-        for interval in range(8):
+        log = EventLog()
+        guard = FastpathGuard(config, name="lane", log=log)
+        for interval in range(2 * CHECK_EVERY):
             batch = frames(rng)
             delta = pump(guard, batch, interval)
             assert delta.frames_ok == len(batch)
             assert [f for f, good in delta.frames if good] == batch
         assert guard.mode is GuardMode.FAST
-        assert guard.spot_checks == 2  # intervals 4 and 8's encodes
+        # Every CHECK_EVERY-th encode is spot-checked, and only those.
+        assert guard.spot_checks == 2
+        assert [
+            e.interval
+            for e in log.select(category="fastpath", kind="spot-check-ok")
+        ] == [CHECK_EVERY - 1, 2 * CHECK_EVERY - 1]
         assert not guard.quarantines
 
     def test_frame_split_across_intervals_reassembles(self, config, rng):
-        guard = FastpathGuard(config, name="lane", check_every=100)
+        guard = FastpathGuard(config, name="lane")
         batch = frames(rng, count=2)
         line = guard.encode(batch, 0)
         cut = len(line) // 2
@@ -48,15 +55,17 @@ class TestFastMode:
 
     def test_spot_check_events_are_logged(self, config, rng):
         log = EventLog()
-        guard = FastpathGuard(config, name="lane", check_every=1, log=log)
-        pump(guard, frames(rng), 0)
-        assert log.select(category="fastpath", kind="spot-check-ok")
+        guard = FastpathGuard(config, name="lane", log=log)
+        for interval in range(CHECK_EVERY):
+            pump(guard, frames(rng), interval)
+        (event,) = log.select(category="fastpath", kind="spot-check-ok")
+        assert (event.lane, event.detail["frames"]) == ("lane", 4)
 
 
 class TestQuarantine:
     def test_sabotage_is_caught_and_quarantines(self, config, rng):
         log = EventLog()
-        guard = FastpathGuard(config, name="lane", check_every=100, log=log)
+        guard = FastpathGuard(config, name="lane", log=log)
         guard.arm_sabotage()
         batch = frames(rng)
         line = guard.encode(batch, 0)
@@ -73,37 +82,41 @@ class TestQuarantine:
         assert delta.fcs_errors >= 1
 
     def test_quarantined_traffic_flows_through_cycle_engine(self, config, rng):
-        guard = FastpathGuard(config, name="lane", check_every=100,
-                              reinstate_after=100)
+        guard = FastpathGuard(config, name="lane")
         guard.arm_sabotage()
         pump(guard, frames(rng), 0)
         assert guard.mode is GuardMode.QUARANTINED
-        batch = frames(rng, count=3)
-        delta = pump(guard, batch, 1)
-        assert guard.mode is GuardMode.QUARANTINED
-        assert [f for f, good in delta.frames if good] == batch
+        # Short of the reinstatement streak, every interval stays on
+        # the cycle engine and still delivers.
+        for interval in range(1, REINSTATE_AFTER):
+            batch = frames(rng, count=3)
+            delta = pump(guard, batch, interval)
+            assert guard.mode is GuardMode.QUARANTINED
+            assert [f for f, good in delta.frames if good] == batch
 
     def test_reinstatement_after_clean_agreement_streak(self, config, rng):
         log = EventLog()
-        guard = FastpathGuard(config, name="lane", check_every=100,
-                              reinstate_after=3, log=log)
+        guard = FastpathGuard(config, name="lane", log=log)
         guard.arm_sabotage()
         pump(guard, frames(rng), 0)
         assert guard.mode is GuardMode.QUARANTINED
-        for interval in range(1, 4):
+        for interval in range(1, REINSTATE_AFTER + 1):
+            assert guard.mode is GuardMode.QUARANTINED
             delta = pump(guard, frames(rng), interval)
             assert delta.frames_ok == 4
         assert guard.mode is GuardMode.FAST
         assert guard.reinstatements == 1
-        assert log.select(category="fastpath", kind="reinstate")
+        (event,) = log.select(category="fastpath", kind="reinstate")
+        assert event.interval == REINSTATE_AFTER
+        assert event.detail["after_clean_intervals"] == REINSTATE_AFTER
         # And the reinstated fastpath keeps delivering.
         batch = frames(rng)
-        delta = pump(guard, batch, 5)
+        delta = pump(guard, batch, REINSTATE_AFTER + 1)
         assert [f for f, good in delta.frames if good] == batch
 
     def test_open_tail_carries_across_the_mode_switch(self, config, rng):
         """A frame in flight when the guard quarantines is not lost."""
-        guard = FastpathGuard(config, name="lane", check_every=100)
+        guard = FastpathGuard(config, name="lane")
         batch = frames(rng, count=2)
         line = guard.encode(batch, 0)
         cut = len(line) - 8  # split inside the final frame
@@ -119,7 +132,7 @@ class TestQuarantine:
         assert batch[1] in got
 
     def test_resync_drops_delineation_state(self, config, rng):
-        guard = FastpathGuard(config, name="lane", check_every=100)
+        guard = FastpathGuard(config, name="lane")
         batch = frames(rng, count=2)
         line = guard.encode(batch, 0)
         guard.decode(line[: len(line) - 8], 0)
@@ -127,9 +140,3 @@ class TestQuarantine:
         delta = guard.decode(line[len(line) - 8:], 1)
         # The tail of the split frame alone cannot decode as good.
         assert batch[1] not in [f for f, good in delta.frames if good]
-
-    def test_validation(self, config):
-        with pytest.raises(ValueError):
-            FastpathGuard(config, name="x", check_every=0)
-        with pytest.raises(ValueError):
-            FastpathGuard(config, name="x", reinstate_after=0)

@@ -77,7 +77,7 @@ frame_batches = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_never_delivers_a_corrupt_frame_as_good(batch, burst_bits, wire_seed):
     config = P5Config.thirty_two_bit(max_frame_octets=512)
-    guard = FastpathGuard(config, name="prop", check_every=10_000)
+    guard = FastpathGuard(config, name="prop")
     wire = LaneWire("prop.wire", seed=wire_seed)
     wire.arm_burst(burst_bits)
     line = guard.encode(batch, 0)
@@ -100,7 +100,7 @@ def test_quarantined_guard_is_equally_incorruptible(
     """The cycle-mode receive path holds the same no-corrupt-delivery
     contract as the fast path."""
     config = P5Config.thirty_two_bit(max_frame_octets=512)
-    guard = FastpathGuard(config, name="prop", check_every=10_000)
+    guard = FastpathGuard(config, name="prop")
     guard.arm_sabotage()
     guard.encode([b"primer-frame"], 0)  # trips the quarantine
     wire = LaneWire("prop.wire", seed=wire_seed)

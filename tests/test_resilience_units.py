@@ -18,7 +18,12 @@ from repro.resilience import (
     RecoveryStep,
     chaos_schedule,
 )
-from repro.resilience.ladder import LADDER
+from repro.resilience.ladder import (
+    BACKOFF_CAP,
+    JITTER,
+    LADDER,
+    RETRIES_PER_STEP,
+)
 
 
 def clean(expected=17):
@@ -164,63 +169,76 @@ class TestApsController:
             ApsController(hold_off=4, wait_to_restore=2)
 
 
+def ladder_run(ladder, count, interval=0):
+    """The next ``count`` actions, each fired as soon as it is allowed."""
+    actions = []
+    while len(actions) < count:
+        action = ladder.next_action(interval)
+        if action:
+            actions.append(action)
+        interval += 1
+    return actions
+
+
 class TestRecoveryLadder:
     def test_escalation_order_is_the_ladder(self):
-        ladder = RecoveryLadder(retries_per_step=1, jitter=0, seed=1)
-        steps = []
-        interval = 0
-        while len(steps) < len(LADDER):
-            action = ladder.next_action(interval)
-            if action:
-                steps.append(action.step)
-            interval += 1
-        assert steps == list(LADDER)
+        ladder = RecoveryLadder(seed=1)
+        actions = ladder_run(ladder, (len(LADDER) - 1) * RETRIES_PER_STEP + 1)
+        assert [a.step for a in actions] == [
+            step for step in LADDER[:-1] for _ in range(RETRIES_PER_STEP)
+        ] + [RecoveryStep.QUARANTINE]
 
     def test_retries_before_escalation(self):
-        ladder = RecoveryLadder(retries_per_step=2, jitter=0, seed=1)
-        first = ladder.next_action(0)
-        second = ladder.next_action(first.backoff)
-        assert first.step is second.step is RecoveryStep.RESYNC
-        assert (first.attempt, second.attempt) == (1, 2)
-        third = ladder.next_action(first.backoff + second.backoff)
-        assert third.step is RecoveryStep.FLUSH
+        ladder = RecoveryLadder(seed=1)
+        interval = 0
+        for attempt in range(1, RETRIES_PER_STEP + 1):
+            action = ladder.next_action(interval)
+            assert (action.step, action.attempt) == (
+                RecoveryStep.RESYNC, attempt
+            )
+            interval += action.backoff
+        assert ladder.next_action(interval).step is RecoveryStep.FLUSH
 
     def test_backoff_grows_exponentially_and_caps(self):
-        ladder = RecoveryLadder(
-            retries_per_step=1, backoff_cap=8,
-            jitter=0, seed=1,
-        )
+        ladder = RecoveryLadder(seed=1)
         backoffs = []
         interval = 0
         for _ in range(7):
             action = ladder.next_action(interval)
             backoffs.append(action.backoff)
             interval += action.backoff
-        assert backoffs == [1, 2, 4, 8, 8, 8, 8]
+        bases = [1, 2, 4, 8, 8, 8, 8]
+        assert BACKOFF_CAP == bases[-1]
+        for backoff, base in zip(backoffs, bases):
+            assert base <= backoff <= base + JITTER
 
     def test_nothing_fires_during_backoff(self):
-        ladder = RecoveryLadder(retries_per_step=1, jitter=0, seed=1)
-        action = ladder.next_action(0)
-        for interval in range(1, action.backoff):
+        ladder = RecoveryLadder(seed=1)
+        *_, action = ladder_run(ladder, 4)
+        assert action.backoff >= BACKOFF_CAP
+        for interval in range(action.interval + 1,
+                              action.interval + action.backoff):
             assert ladder.next_action(interval) is None
+        assert ladder.next_action(action.interval + action.backoff)
 
     def test_quarantine_rung_reemits_without_advancing(self):
-        ladder = RecoveryLadder(retries_per_step=1, jitter=0, seed=1)
-        interval = 0
-        for _ in range(10):
-            action = ladder.next_action(interval)
-            interval += action.backoff if action else 1
-        assert ladder.current_step is RecoveryStep.QUARANTINE
+        ladder = RecoveryLadder(seed=1)
+        rungs = (len(LADDER) - 1) * RETRIES_PER_STEP
+        actions = ladder_run(ladder, rungs + 4)[rungs:]
+        assert [a.step for a in actions] == [RecoveryStep.QUARANTINE] * 4
+        assert [a.attempt for a in actions] == [1, 2, 3, 4]
         assert ladder.quarantined
 
     def test_reset_returns_to_bottom_rung(self):
-        ladder = RecoveryLadder(retries_per_step=1, jitter=0, seed=1)
+        ladder = RecoveryLadder(seed=1)
         for interval in (0, 10, 20):
             ladder.next_action(interval)
         assert ladder.current_step is not RecoveryStep.RESYNC
         ladder.reset(21)
         assert ladder.current_step is RecoveryStep.RESYNC
-        assert ladder.next_action(21).backoff == 1  # backoff re-zeroed
+        action = ladder.next_action(21)
+        assert action.attempt == 1
+        assert 1 <= action.backoff <= 1 + JITTER  # backoff re-zeroed
 
 
 class TestLaneWire:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PointerError
 from repro.sonet import FramerState, SonetFramer, SonetRxFramer, frame_layout
-from repro.sonet.constants import LOF_FRAMES
+from repro.sonet.constants import A1, A2, LOF_FRAMES
 
 
 def payload_for(framer, seed=0):
@@ -74,6 +74,24 @@ class TestLofEscalation:
         for _ in range(4):
             rx.feed(tx.build(good))
         assert rx.state is FramerState.SYNC
+
+    def test_false_locks_do_not_restart_the_lof_timer(self):
+        """A dead line whose junk carries a framing look-alike every few
+        frame-times never reaches SYNC, so it is still loss of frame."""
+        tx = SonetFramer(3)
+        rx = SonetRxFramer(3, oof_threshold=1)
+        good = payload_for(tx)
+        for _ in range(3):
+            rx.feed(tx.build(good))
+        look_alike = bytes([A1] * 3 + [A2] * 3)
+        for i in range(100):
+            junk = bytes(rx.frame_bytes)
+            if i % 10 == 0:
+                junk = look_alike + junk[len(look_alike):]
+            rx.feed(junk)
+        assert rx.state is not FramerState.SYNC
+        assert rx.counters.oof_events == 1
+        assert rx.counters.lof_events == 1
 
     def test_parity_state_reset_on_resync(self):
         """After re-hunting, stale B1/B3 latches must not fire."""
